@@ -11,7 +11,7 @@
 //!     --addr 127.0.0.1:<port> --clients 8 --requests 100 --sim-every 10
 //! ```
 //!
-//! `--assert-coalescing` queries the server's `stats` verb afterwards and
+//! `--assert-coalescing` queries the server's `metrics` verb afterwards and
 //! fails (exit 1) unless the mean coalesced batch size exceeds 1;
 //! `--assert-split` queries the versioned `metrics` verb and fails unless
 //! the queue-wait and compute histograms sum (within 25%) to the latency
@@ -1255,8 +1255,9 @@ struct WarmPass {
 }
 
 /// Boots an in-process server over the store at `path`, drives
-/// `opts.requests` requests on one connection, reads the `store` verb,
-/// and drains (which snapshots the store for the next pass).
+/// `opts.requests` requests on one connection, reads the `metrics` verb's
+/// `store` section, and drains (which snapshots the store for the next
+/// pass).
 fn warm_pass(opts: &Options, path: &std::path::Path) -> Result<WarmPass, String> {
     let t = Instant::now();
     let engine = gbd_engine::Engine::new()
@@ -1306,11 +1307,12 @@ fn warm_pass(opts: &Options, path: &std::path::Path) -> Result<WarmPass, String>
     let driven = drive();
     let elapsed_s = t.elapsed().as_secs_f64();
 
-    let store = control_round_trip(&addr, "store");
+    let store = control_line(&addr, r#"{"id":0,"verb":"metrics","sections":["store"]}"#);
     let store_field = |key: &str| {
         store
             .as_ref()
-            .and_then(|s| s.get("store"))
+            .and_then(|m| m.get("metrics"))
+            .and_then(|m| m.get("store"))
             .and_then(|s| s.get(key))
             .and_then(Json::as_u64)
     };
@@ -1467,25 +1469,28 @@ fn main() -> ExitCode {
         percentile(&latencies, 0.99),
     );
 
-    // Server-side view: coalescing factor and shed count via `stats`.
-    let stats = control_round_trip(&opts.addr, "stats");
-    let coalescing = stats
-        .as_ref()
-        .and_then(|s| s.get("stats"))
+    // Server-side view: coalescing factor and shed count via `metrics`.
+    let server_view = control_line(
+        &opts.addr,
+        r#"{"id":0,"verb":"metrics","sections":["server","histograms"]}"#,
+    );
+    let section = |name: &str| {
+        server_view
+            .as_ref()
+            .and_then(|m| m.get("metrics"))
+            .and_then(|m| m.get(name))
+    };
+    let coalescing = section("server")
         .and_then(|s| s.get("coalescing_factor"))
         .and_then(Json::as_f64);
-    let shed = stats
-        .as_ref()
-        .and_then(|s| s.get("stats"))
+    let shed = section("server")
         .and_then(|s| s.get("shed"))
         .and_then(Json::as_u64);
     // Server-side latency decomposition: time spent waiting in the
     // coalescer queue vs engine compute, both at p50.
     let split_p50 = |key: &str| {
-        stats
-            .as_ref()
-            .and_then(|s| s.get("stats"))
-            .and_then(|s| s.get(key))
+        section("histograms")
+            .and_then(|h| h.get(key))
             .and_then(|h| h.get("p50"))
             .and_then(Json::as_u64)
     };

@@ -17,7 +17,6 @@
 //! machine-readable output.
 
 mod args;
-mod json;
 
 use args::{render_flags, unknown_command, unknown_flag, Cursor, Flag};
 use gbd_core::accuracy::required_caps;
@@ -29,9 +28,8 @@ use gbd_engine::{
     BackendChain, BackendSpec, Engine, EvalRequest, EvalResponse, RetryPolicy, SimulationSpec,
 };
 use gbd_router::{Router, RouterConfig};
-use gbd_serve::{ServeConfig, Server};
+use gbd_serve::{Json, ServeConfig, Server};
 use gbd_sim::config::MotionSpec;
-use json::Json;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -348,20 +346,23 @@ impl AnalyzeCmd {
             println!(
                 "{}",
                 Json::obj(vec![
-                    ("command", "analyze".into()),
-                    ("backend", response.backend.into()),
-                    ("served_by", response.served_by.into()),
-                    ("degraded", response.degraded.into()),
-                    ("params", params_json(&params)),
-                    ("detection_probability", p.into()),
+                    ("command".into(), "analyze".into()),
+                    ("backend".into(), response.backend.into()),
+                    ("served_by".into(), response.served_by.into()),
+                    ("degraded".into(), response.degraded.into()),
+                    ("params".into(), params_json(&params)),
+                    ("detection_probability".into(), p.into()),
                     (
-                        "detection_probability_unnormalized",
+                        "detection_probability_unnormalized".into(),
                         dist.detection_probability_unnormalized(params.k()).into(),
                     ),
-                    ("retained_mass", dist.retained_mass().into()),
-                    ("predicted_accuracy", dist.predicted_accuracy().into()),
-                    ("duration_ms", duration_ms(&response).into()),
-                    ("cache", cache_json(&response)),
+                    ("retained_mass".into(), dist.retained_mass().into()),
+                    (
+                        "predicted_accuracy".into(),
+                        dist.predicted_accuracy().into()
+                    ),
+                    ("duration_ms".into(), duration_ms(&response).into()),
+                    ("cache".into(), cache_json(&response)),
                 ])
                 .render()
             );
@@ -443,19 +444,25 @@ impl SimulateCmd {
             println!(
                 "{}",
                 Json::obj(vec![
-                    ("command", "simulate".into()),
-                    ("params", params_json(&params)),
-                    ("trials", result.trials.into()),
-                    ("seed", self.sim.seed.into()),
-                    ("random_walk", self.sim.walk.into()),
-                    ("detection_probability", result.detection_probability.into()),
-                    ("confidence_lo", result.confidence.lo.into()),
-                    ("confidence_hi", result.confidence.hi.into()),
-                    ("mean_reports", result.report_counts.mean().into()),
-                    ("mean_false_alarms", result.false_alarm_counts.mean().into()),
-                    ("duration_ms", wall_ms.into()),
-                    ("trials_per_sec", trials_per_sec.into()),
-                    ("cache", cache_json(&response)),
+                    ("command".into(), "simulate".into()),
+                    ("params".into(), params_json(&params)),
+                    ("trials".into(), result.trials.into()),
+                    ("seed".into(), self.sim.seed.into()),
+                    ("random_walk".into(), self.sim.walk.into()),
+                    (
+                        "detection_probability".into(),
+                        result.detection_probability.into()
+                    ),
+                    ("confidence_lo".into(), result.confidence.lo.into()),
+                    ("confidence_hi".into(), result.confidence.hi.into()),
+                    ("mean_reports".into(), result.report_counts.mean().into()),
+                    (
+                        "mean_false_alarms".into(),
+                        result.false_alarm_counts.mean().into()
+                    ),
+                    ("duration_ms".into(), wall_ms.into()),
+                    ("trials_per_sec".into(), trials_per_sec.into()),
+                    ("cache".into(), cache_json(&response)),
                 ])
                 .render()
             );
@@ -607,18 +614,18 @@ impl SweepCmd {
             println!(
                 "{}",
                 Json::obj(vec![
-                    ("command", "sweep".into()),
-                    ("backend", chain.primary.name().into()),
-                    ("k", self.params.k.into()),
+                    ("command".into(), "sweep".into()),
+                    ("backend".into(), chain.primary.name().into()),
+                    ("k".into(), self.params.k.into()),
                     (
-                        "rows",
+                        "rows".into(),
                         Json::Arr(
                             rows.iter()
                                 .map(|&(n, analysis, sim)| {
                                     let mut row = vec![
-                                        ("n", n.into()),
+                                        ("n".into(), n.into()),
                                         (
-                                            "analysis",
+                                            "analysis".into(),
                                             match &analysis.outcome {
                                                 Ok(_) => analysis
                                                     .detection_probability()
@@ -626,10 +633,10 @@ impl SweepCmd {
                                                 Err(_) => Json::Null,
                                             },
                                         ),
-                                        ("served_by", analysis.served_by.into()),
-                                        ("degraded", analysis.degraded.into()),
+                                        ("served_by".into(), analysis.served_by.into()),
+                                        ("degraded".into(), analysis.degraded.into()),
                                         (
-                                            "error",
+                                            "error".into(),
                                             analysis
                                                 .outcome
                                                 .as_ref()
@@ -641,7 +648,7 @@ impl SweepCmd {
                                     ];
                                     if let Some(sim) = sim {
                                         row.push((
-                                            "simulation",
+                                            "simulation".into(),
                                             sim.outcome
                                                 .as_ref()
                                                 .ok()
@@ -651,7 +658,7 @@ impl SweepCmd {
                                                 }),
                                         ));
                                         row.push((
-                                            "sim_error",
+                                            "sim_error".into(),
                                             sim.outcome
                                                 .as_ref()
                                                 .err()
@@ -660,8 +667,8 @@ impl SweepCmd {
                                                 }),
                                         ));
                                     } else {
-                                        row.push(("simulation", Json::Null));
-                                        row.push(("sim_error", Json::Null));
+                                        row.push(("simulation".into(), Json::Null));
+                                        row.push(("sim_error".into(), Json::Null));
                                     }
                                     Json::obj(row)
                                 })
@@ -669,11 +676,14 @@ impl SweepCmd {
                         ),
                     ),
                     (
-                        "cache",
+                        "cache".into(),
                         Json::obj(vec![
-                            ("hits", stats.hits.into()),
-                            ("misses", stats.misses.into()),
-                            ("poisoned_recoveries", stats.poisoned_recoveries.into()),
+                            ("hits".into(), stats.hits.into()),
+                            ("misses".into(), stats.misses.into()),
+                            (
+                                "poisoned_recoveries".into(),
+                                stats.poisoned_recoveries.into()
+                            ),
                         ]),
                     ),
                 ])
@@ -1011,17 +1021,17 @@ impl ServeCmd {
         let handle = server.handle();
         if self.json {
             let mut fields = vec![
-                ("event", "listening".into()),
-                ("addr", Json::Str(addr.to_string())),
-                ("batch_max", self.batch_max.into()),
-                ("flush_us", self.flush_us.into()),
-                ("queue_depth", self.queue_depth.into()),
+                ("event".into(), "listening".into()),
+                ("addr".into(), Json::Str(addr.to_string())),
+                ("batch_max".into(), self.batch_max.into()),
+                ("flush_us".into(), self.flush_us.into()),
+                ("queue_depth".into(), self.queue_depth.into()),
             ];
             if let Some(m) = metrics_addr {
-                fields.push(("metrics_addr", Json::Str(m.to_string())));
+                fields.push(("metrics_addr".into(), Json::Str(m.to_string())));
             }
             if let Some(r) = replica_addr {
-                fields.push(("replica_addr", Json::Str(r.to_string())));
+                fields.push(("replica_addr".into(), Json::Str(r.to_string())));
             }
             println!("{}", Json::obj(fields).render());
         } else {
@@ -1042,13 +1052,22 @@ impl ServeCmd {
             println!(
                 "{}",
                 Json::obj(vec![
-                    ("event", "stopped".into()),
-                    ("evaluated", metrics.evaluated.get().into()),
-                    ("batches_flushed", metrics.batches_flushed.get().into()),
-                    ("coalescing_factor", metrics.coalescing_factor().into()),
-                    ("shed", metrics.shed.get().into()),
-                    ("rejected", metrics.rejected.get().into()),
-                    ("connections_total", metrics.connections_total.get().into()),
+                    ("event".into(), "stopped".into()),
+                    ("evaluated".into(), metrics.evaluated.get().into()),
+                    (
+                        "batches_flushed".into(),
+                        metrics.batches_flushed.get().into()
+                    ),
+                    (
+                        "coalescing_factor".into(),
+                        metrics.coalescing_factor().into()
+                    ),
+                    ("shed".into(), metrics.shed.get().into()),
+                    ("rejected".into(), metrics.rejected.get().into()),
+                    (
+                        "connections_total".into(),
+                        metrics.connections_total.get().into()
+                    ),
                 ])
                 .render()
             );
@@ -1231,10 +1250,10 @@ impl RouteCmd {
             println!(
                 "{}",
                 Json::obj(vec![
-                    ("event", "listening".into()),
-                    ("addr", Json::Str(addr.to_string())),
-                    ("shards", self.shards.len().into()),
-                    ("standbys", self.standbys.len().into()),
+                    ("event".into(), "listening".into()),
+                    ("addr".into(), Json::Str(addr.to_string())),
+                    ("shards".into(), self.shards.len().into()),
+                    ("standbys".into(), self.standbys.len().into()),
                 ])
                 .render()
             );
@@ -1247,7 +1266,10 @@ impl RouteCmd {
         }
         router.run().map_err(|e| e.to_string())?;
         if self.json {
-            println!("{}", Json::obj(vec![("event", "stopped".into())]).render());
+            println!(
+                "{}",
+                Json::obj(vec![("event".into(), "stopped".into())]).render()
+            );
         } else {
             println!("stopped");
         }
@@ -1348,18 +1370,21 @@ impl StoreCmd {
             println!(
                 "{}",
                 Json::obj(vec![
-                    ("command", "store".into()),
-                    ("action", if verify { "verify" } else { "info" }.into()),
-                    ("path", Json::Str(self.path.clone())),
+                    ("command".into(), "store".into()),
                     (
-                        "tag",
+                        "action".into(),
+                        if verify { "verify" } else { "info" }.into()
+                    ),
+                    ("path".into(), Json::Str(self.path.clone())),
+                    (
+                        "tag".into(),
                         Json::Str(String::from_utf8_lossy(&report.tag).into_owned()),
                     ),
-                    ("records", report.records.into()),
-                    ("live_entries", report.live_entries.into()),
-                    ("valid_bytes", report.valid_bytes.into()),
-                    ("torn_bytes", report.torn_bytes.into()),
-                    ("intact", intact.into()),
+                    ("records".into(), report.records.into()),
+                    ("live_entries".into(), report.live_entries.into()),
+                    ("valid_bytes".into(), report.valid_bytes.into()),
+                    ("torn_bytes".into(), report.torn_bytes.into()),
+                    ("intact".into(), intact.into()),
                 ])
                 .render()
             );
@@ -1397,13 +1422,13 @@ impl StoreCmd {
             println!(
                 "{}",
                 Json::obj(vec![
-                    ("command", "store".into()),
-                    ("action", "compact".into()),
-                    ("path", Json::Str(self.path.clone())),
-                    ("bytes_before", report.bytes_before.into()),
-                    ("bytes_after", report.bytes_after.into()),
-                    ("live_entries", report.live_entries.into()),
-                    ("records_dropped", report.records_dropped.into()),
+                    ("command".into(), "store".into()),
+                    ("action".into(), "compact".into()),
+                    ("path".into(), Json::Str(self.path.clone())),
+                    ("bytes_before".into(), report.bytes_before.into()),
+                    ("bytes_after".into(), report.bytes_after.into()),
+                    ("live_entries".into(), report.live_entries.into()),
+                    ("records_dropped".into(), report.records_dropped.into()),
                 ])
                 .render()
             );
@@ -1457,33 +1482,36 @@ impl StoreCmd {
             println!(
                 "{}",
                 Json::obj(vec![
-                    ("command", "store".into()),
-                    ("action", "warm".into()),
-                    ("path", Json::Str(self.path.clone())),
-                    ("k", self.params.k.into()),
+                    ("command".into(), "store".into()),
+                    ("action".into(), "warm".into()),
+                    ("path".into(), Json::Str(self.path.clone())),
+                    ("k".into(), self.params.k.into()),
                     (
-                        "rows",
+                        "rows".into(),
                         Json::Arr(
                             rows.iter()
                                 .map(|&(n, p)| {
                                     Json::obj(vec![
-                                        ("n", n.into()),
-                                        ("p", p.map_or(Json::Null, Json::from)),
+                                        ("n".into(), n.into()),
+                                        ("p".into(), p.map_or(Json::Null, Json::from)),
                                     ])
                                 })
                                 .collect(),
                         ),
                     ),
                     (
-                        "store",
+                        "store".into(),
                         Json::obj(vec![
-                            ("loads", cache.store_loads.into()),
-                            ("spills", cache.store_spills.into()),
-                            ("loaded_records", store.loaded_records.into()),
-                            ("torn_bytes_discarded", store.torn_bytes_discarded.into(),),
-                            ("appended_records", store.appended_records.into()),
-                            ("live_entries", store.live_entries.into()),
-                            ("file_bytes", store.file_bytes.into()),
+                            ("loads".into(), cache.store_loads.into()),
+                            ("spills".into(), cache.store_spills.into()),
+                            ("loaded_records".into(), store.loaded_records.into()),
+                            (
+                                "torn_bytes_discarded".into(),
+                                store.torn_bytes_discarded.into(),
+                            ),
+                            ("appended_records".into(), store.appended_records.into()),
+                            ("live_entries".into(), store.live_entries.into()),
+                            ("file_bytes".into(), store.file_bytes.into()),
                         ]),
                     ),
                 ])
@@ -1522,20 +1550,20 @@ fn duration_ms(response: &EvalResponse) -> f64 {
 
 fn cache_json(response: &EvalResponse) -> Json {
     Json::obj(vec![
-        ("hits", response.cache.hits.into()),
-        ("misses", response.cache.misses.into()),
+        ("hits".into(), response.cache.hits.into()),
+        ("misses".into(), response.cache.misses.into()),
     ])
 }
 
 fn params_json(params: &SystemParams) -> Json {
     Json::obj(vec![
-        ("n", params.n_sensors().into()),
-        ("speed", params.speed().into()),
-        ("rs", params.sensing_range().into()),
-        ("field", params.field_width().into()),
-        ("pd", params.pd().into()),
-        ("m", params.m_periods().into()),
-        ("k", params.k().into()),
+        ("n".into(), params.n_sensors().into()),
+        ("speed".into(), params.speed().into()),
+        ("rs".into(), params.sensing_range().into()),
+        ("field".into(), params.field_width().into()),
+        ("pd".into(), params.pd().into()),
+        ("m".into(), params.m_periods().into()),
+        ("k".into(), params.k().into()),
     ])
 }
 

@@ -16,7 +16,6 @@ use gbd_stats::binomial::PmfTable;
 
 /// The required truncation caps for a target analysis accuracy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RequiredCaps {
     /// Body/Tail-stage cap `g` of the M-S-approach.
     pub g: usize,

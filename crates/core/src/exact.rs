@@ -214,7 +214,6 @@ mod tests {
 /// types (e.g. a few long-range sonars among many short-range ones) are
 /// analyzable by convolving per-class contributions.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SensorClass {
     /// Number of sensors of this class.
     pub count: usize,

@@ -26,7 +26,6 @@ use gbd_stats::binomial::Binomial;
 /// Node-level false alarm model: independent misfire probability per
 /// sensor per sensing period.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FalseAlarmModel {
     /// Per-sensor, per-period false alarm probability.
     pub pf: f64,

@@ -40,7 +40,6 @@ use std::cell::RefCell;
 /// of the raw assembled distribution. The default `eps = 0` trims nothing
 /// and is bit-identical to the exact assembly.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MsOptions {
     /// Sensor cap per Body/Tail stage (`g`).
     pub g: usize,
@@ -48,7 +47,6 @@ pub struct MsOptions {
     pub gh: usize,
     /// Per-stage tail-mass truncation budget; `0.0` (the default) disables
     /// trimming. Must lie in `[0, 1)`.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub eps: f64,
 }
 

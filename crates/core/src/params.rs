@@ -29,7 +29,6 @@ use gbd_geometry::subarea::ms_periods;
 /// assert_eq!(p.ms(), 9); // ceil(2*1000 / (4*60))
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SystemParams {
     field_width: f64,
     field_height: f64,

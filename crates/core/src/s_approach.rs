@@ -23,7 +23,6 @@ use gbd_geometry::subarea::SubareaTable;
 /// Truncation option of the S-approach: the sensor cap `G` over the whole
 /// Aggregate Region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SOptions {
     /// Maximum number of sensors considered inside the ARegion (`G`).
     pub cap_sensors: usize,

@@ -10,7 +10,6 @@ use crate::point::{Aabb, Point};
 
 /// A circle (disk) with a center and radius.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Circle {
     /// Center of the disk.
     pub center: Point,

@@ -4,7 +4,6 @@ use std::ops::{Add, Div, Mul, Neg, Sub};
 
 /// A point in the plane (meters).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// Horizontal coordinate.
     pub x: f64,
@@ -14,7 +13,6 @@ pub struct Point {
 
 /// A displacement vector in the plane (meters).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vector {
     /// Horizontal component.
     pub x: f64,
@@ -144,7 +142,6 @@ impl Neg for Vector {
 
 /// A line segment between two points.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Segment {
     /// Start point.
     pub a: Point,
@@ -189,7 +186,6 @@ impl Segment {
 
 /// An axis-aligned bounding box.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Aabb {
     /// Smallest corner.
     pub min: Point,

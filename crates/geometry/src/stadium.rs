@@ -11,7 +11,6 @@ use crate::point::{Aabb, Point, Segment};
 ///
 /// Degenerates to a disk when `a == b` (a stationary target).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Stadium {
     segment: Segment,
     radius: f64,

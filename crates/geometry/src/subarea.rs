@@ -141,7 +141,6 @@ pub fn area_t_eq10(area_b: &[f64], j: usize) -> Vec<f64> {
 /// assert!((total - dr1).abs() < 1e-6);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SubareaTable {
     rs: f64,
     /// Cumulative positions `c_0 ..= c_M` along the track.

@@ -402,14 +402,12 @@ fn dispatch(line: &str, shared: &Arc<RouterShared>, pool: &mut UpstreamPool) -> 
             "no stream session is open on this connection; send stream_open first",
         )
         .render(),
-        Verb::Watch { .. } | Verb::Unwatch | Verb::Stats | Verb::Store => {
-            protocol::error_response(
-                Some(id),
-                ErrorCode::BadRequest,
-                "verb not supported by the router; connect to a shard directly",
-            )
-            .render()
-        }
+        Verb::Watch { .. } | Verb::Unwatch => protocol::error_response(
+            Some(id),
+            ErrorCode::BadRequest,
+            "verb not supported by the router; connect to a shard directly",
+        )
+        .render(),
     })
 }
 

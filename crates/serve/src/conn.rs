@@ -295,6 +295,59 @@ fn send_flat(
     }
 }
 
+/// Answers the control verbs that behave the same with or without an open
+/// stream session — `ping`, `metrics`, `unwatch` and `shutdown` — and
+/// returns `None` for every other verb. Each caller routes the reply to
+/// its own sink: the writer queue, or the session channel.
+pub(crate) fn control_reply(
+    id: u64,
+    verb: &Verb,
+    shared: &ServerShared,
+    watch_tokens: &mut Vec<CancelToken>,
+) -> Option<Json> {
+    let metrics = &shared.metrics;
+    let reply = match verb {
+        Verb::Ping => {
+            metrics.record_verb("ping");
+            protocol::pong(id)
+        }
+        Verb::Metrics { sections } => {
+            metrics.record_verb("metrics");
+            shared.metrics_snapshot().render_metrics(id, sections)
+        }
+        Verb::Unwatch => {
+            metrics.record_verb("unwatch");
+            // Finished streams cancelled their own tokens; only watches
+            // still live count toward the ack.
+            let cancelled = watch_tokens.iter().filter(|t| !t.is_cancelled()).count();
+            for token in watch_tokens.drain(..) {
+                token.cancel();
+            }
+            // Reap immediately so the cancelled subscriptions' senders
+            // drop, which ends any stream the writer is still blocked on —
+            // and therefore must happen before this ack is queued behind it.
+            metrics.registry().reap_cancelled();
+            Json::obj(vec![
+                ("id".to_string(), Json::Int(id as i64)),
+                ("ok".to_string(), Json::Bool(true)),
+                ("unwatched".to_string(), Json::from(cancelled)),
+            ])
+        }
+        Verb::Shutdown => {
+            metrics.record_verb("shutdown");
+            let ack = Json::obj(vec![
+                ("id".to_string(), Json::Int(id as i64)),
+                ("ok".to_string(), Json::Bool(true)),
+                ("shutting_down".to_string(), Json::Bool(true)),
+            ]);
+            shared.begin_shutdown();
+            ack
+        }
+        _ => return None,
+    };
+    Some(reply)
+}
+
 fn dispatch(
     id: u64,
     verb: Verb,
@@ -302,25 +355,10 @@ fn dispatch(
     evals_served: &mut u64,
     watch_tokens: &mut Vec<CancelToken>,
 ) -> WriteItem {
+    if let Some(reply) = control_reply(id, &verb, shared, watch_tokens) {
+        return WriteItem::Ready(reply);
+    }
     match verb {
-        Verb::Ping => {
-            shared.metrics.record_verb("ping");
-            WriteItem::Ready(protocol::pong(id))
-        }
-        Verb::Metrics { sections } => {
-            shared.metrics.record_verb("metrics");
-            WriteItem::Ready(shared.metrics_snapshot().render_metrics(id, &sections))
-        }
-        Verb::Stats => {
-            shared.metrics.record_verb("stats");
-            shared.metrics.deprecated_verb_calls.inc();
-            WriteItem::Ready(shared.metrics_snapshot().render_stats(id))
-        }
-        Verb::Store => {
-            shared.metrics.record_verb("store");
-            shared.metrics.deprecated_verb_calls.inc();
-            WriteItem::Ready(shared.metrics_snapshot().render_store(id))
-        }
         Verb::Watch { windows, replay } => {
             shared.metrics.record_verb("watch");
             let sub = shared.metrics.registry().subscribe(replay);
@@ -331,34 +369,6 @@ fn dispatch(
                 limit: windows,
                 token: sub.token,
             }
-        }
-        Verb::Unwatch => {
-            shared.metrics.record_verb("unwatch");
-            // Finished streams cancelled their own tokens; only watches
-            // still live count toward the ack.
-            let cancelled = watch_tokens.iter().filter(|t| !t.is_cancelled()).count();
-            for token in watch_tokens.drain(..) {
-                token.cancel();
-            }
-            // Reap immediately so the cancelled subscriptions' senders
-            // drop, which ends any stream the writer is still blocked on —
-            // and therefore must happen before this ack is queued behind it.
-            shared.metrics.registry().reap_cancelled();
-            WriteItem::Ready(Json::obj(vec![
-                ("id".to_string(), Json::Int(id as i64)),
-                ("ok".to_string(), Json::Bool(true)),
-                ("unwatched".to_string(), Json::from(cancelled)),
-            ]))
-        }
-        Verb::Shutdown => {
-            shared.metrics.record_verb("shutdown");
-            let ack = Json::obj(vec![
-                ("id".to_string(), Json::Int(id as i64)),
-                ("ok".to_string(), Json::Bool(true)),
-                ("shutting_down".to_string(), Json::Bool(true)),
-            ]);
-            shared.begin_shutdown();
-            WriteItem::Ready(ack)
         }
         Verb::Eval(request) => {
             shared.metrics.record_verb("eval");
@@ -404,9 +414,14 @@ fn dispatch(
                 "no stream session is open on this connection; send stream_open first",
             ))
         }
-        Verb::StreamOpen(_) => {
-            // The reader loop intercepts stream_open before dispatch (it
-            // owns the session slot); this arm only keeps the match total.
+        // The reader loop intercepts stream_open before dispatch (it owns
+        // the session slot) and `control_reply` answered the control verbs
+        // above; this arm only keeps the match total.
+        Verb::StreamOpen(_)
+        | Verb::Ping
+        | Verb::Metrics { .. }
+        | Verb::Unwatch
+        | Verb::Shutdown => {
             shared.metrics.rejected.inc();
             WriteItem::Ready(protocol::error_response(
                 Some(id),

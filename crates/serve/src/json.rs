@@ -600,8 +600,15 @@ mod tests {
             ("ok".into(), true.into()),
             ("p".into(), 0.5.into()),
             ("tags".into(), Json::Arr(vec![Json::Null, 3i64.into()])),
+            (
+                "non_finite".into(),
+                Json::Arr(vec![Json::Num(f64::NAN), Json::Num(f64::INFINITY)]),
+            ),
         ]);
-        assert_eq!(v.render(), r#"{"ok":true,"p":0.5,"tags":[null,3]}"#);
+        assert_eq!(
+            v.render(),
+            r#"{"ok":true,"p":0.5,"tags":[null,3],"non_finite":[null,null]}"#
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! flushed to [`Engine::evaluate_batch`](gbd_engine::Engine::evaluate_batch)
 //! together, so the engine's worker pool and warm caches amortize across
 //! concurrent small callers. Around it: admission control with explicit
-//! load shedding, per-connection limits and backpressure, a `stats`
+//! load shedding, per-connection limits and backpressure, a `metrics`
 //! introspection verb, and graceful drain on shutdown or SIGTERM/ctrl-c.
 //!
 //! The wire protocol is documented in `docs/SERVING.md`.

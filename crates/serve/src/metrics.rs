@@ -2,11 +2,10 @@
 //! report renders from.
 //!
 //! The counters and histograms live in a [`gbd_obs::Registry`], so the
-//! same series back the versioned `metrics` verb, the deprecated
-//! `stats`/`store` aliases, the streaming `watch` windows, and the
-//! Prometheus text endpoint. Reports never read live atomics mid-render:
-//! [`ServerMetrics::snapshot`] reads everything once into a plain-data
-//! snapshot, and the renderers are pure functions of it.
+//! same series back the versioned `metrics` verb, the streaming `watch`
+//! windows, and the Prometheus text endpoint. Reports never read live
+//! atomics mid-render: [`ServerMetrics::snapshot`] reads everything once
+//! into a plain-data snapshot, and the renderers are pure functions of it.
 
 use crate::json::Json;
 use crate::protocol::Section;
@@ -19,11 +18,9 @@ use std::sync::Arc;
 pub const METRICS_SCHEMA_VERSION: u64 = 1;
 
 /// Verbs with a per-verb request counter, in registration order.
-pub const VERBS: [&str; 11] = [
+pub const VERBS: [&str; 9] = [
     "eval",
     "metrics",
-    "stats",
-    "store",
     "watch",
     "unwatch",
     "ping",
@@ -73,9 +70,6 @@ pub struct ServerMetrics {
     /// error in the per-connection writer). Before this counter existed a
     /// failed write silently dropped the connection with no metric.
     pub write_errors: Arc<Counter>,
-    /// Calls to the byte-compatible deprecated `stats`/`store` aliases,
-    /// so the migration documented in docs/SERVING.md is observable.
-    pub deprecated_verb_calls: Arc<Counter>,
     /// Replicated store records applied by this process's replica
     /// listener (standby role).
     pub replica_applied: Arc<Counter>,
@@ -148,7 +142,6 @@ impl ServerMetrics {
             queue_wait: registry.histogram("queue_wait_us"),
             compute: registry.histogram("compute_us"),
             write_errors: registry.counter("server_write_errors"),
-            deprecated_verb_calls: registry.counter("deprecated_verb_calls"),
             replica_applied: registry.counter("replica_applied_records"),
             replica_apply_errors: registry.counter("replica_apply_errors"),
             stream_sessions_opened: registry.counter("stream_sessions_opened"),
@@ -400,9 +393,9 @@ pub struct MetricsSnapshot {
     pub stream: StreamSnapshot,
 }
 
-/// `count`/`p50`/`p95`/`p99`/`max` summary — the legacy `stats` histogram
-/// shape. An empty histogram renders every statistic as `null` (`max`
-/// included: a raw `0` was indistinguishable from a genuine 0µs sample).
+/// `count`/`p50`/`p95`/`p99`/`max` summary. An empty histogram renders
+/// every statistic as `null` (`max` included: a raw `0` was
+/// indistinguishable from a genuine 0µs sample).
 fn histogram_brief(h: &HistogramSnapshot) -> Json {
     let q = |p: f64| h.quantile_us(p).map_or(Json::Null, Json::from);
     Json::obj(vec![
@@ -428,15 +421,6 @@ fn histogram_full(h: &HistogramSnapshot) -> Json {
         ),
     );
     Json::Obj(fields)
-}
-
-fn cache_brief(cache: &CacheStats) -> Json {
-    Json::obj(vec![
-        ("hits".to_string(), Json::from(cache.hits)),
-        ("misses".to_string(), Json::from(cache.misses)),
-        ("evictions".to_string(), Json::from(cache.evictions)),
-        ("hit_rate".to_string(), Json::Num(cache.hit_rate())),
-    ])
 }
 
 fn store_body(store: Option<&StoreSnapshot>) -> Json {
@@ -465,70 +449,6 @@ fn store_body(store: Option<&StoreSnapshot>) -> Json {
 }
 
 impl MetricsSnapshot {
-    /// Renders the deprecated `stats` verb: the pre-redesign payload, key
-    /// for key, plus the top-level `deprecated` flag. New clients should
-    /// use `metrics` with `sections: ["server", "cache", "histograms"]`.
-    pub fn render_stats(&self, id: u64) -> Json {
-        Json::obj(vec![
-            ("id".to_string(), Json::Int(id as i64)),
-            ("ok".to_string(), Json::Bool(true)),
-            ("deprecated".to_string(), Json::Bool(true)),
-            (
-                "stats".to_string(),
-                Json::obj(vec![
-                    ("queue_depth".to_string(), Json::from(self.queue_depth)),
-                    (
-                        "connections_total".to_string(),
-                        Json::from(self.connections_total),
-                    ),
-                    (
-                        "connections_active".to_string(),
-                        Json::from(self.connections_active),
-                    ),
-                    ("admitted".to_string(), Json::from(self.admitted)),
-                    ("evaluated".to_string(), Json::from(self.evaluated)),
-                    ("shed".to_string(), Json::from(self.shed)),
-                    ("rejected".to_string(), Json::from(self.rejected)),
-                    (
-                        "batches_flushed".to_string(),
-                        Json::from(self.batches_flushed),
-                    ),
-                    (
-                        "flushes_by_size".to_string(),
-                        Json::from(self.flushes_by_size),
-                    ),
-                    (
-                        "flushes_by_timer".to_string(),
-                        Json::from(self.flushes_by_timer),
-                    ),
-                    (
-                        "coalescing_factor".to_string(),
-                        Json::Num(self.coalescing_factor),
-                    ),
-                    ("cache".to_string(), cache_brief(&self.cache)),
-                    ("latency_us".to_string(), histogram_brief(&self.latency_us)),
-                    (
-                        "queue_wait_us".to_string(),
-                        histogram_brief(&self.queue_wait_us),
-                    ),
-                    ("compute_us".to_string(), histogram_brief(&self.compute_us)),
-                ]),
-            ),
-        ])
-    }
-
-    /// Renders the deprecated `store` verb: the pre-redesign payload plus
-    /// the `deprecated` flag. New clients should use `metrics` with
-    /// `sections: ["store"]`.
-    pub fn render_store(&self, id: u64) -> Json {
-        Json::obj(vec![
-            ("id".to_string(), Json::Int(id as i64)),
-            ("ok".to_string(), Json::Bool(true)),
-            ("deprecated".to_string(), Json::Bool(true)),
-            ("store".to_string(), store_body(self.store.as_ref())),
-        ])
-    }
-
     /// Renders the versioned `metrics` verb. `sections` selects which
     /// sections appear (empty = all), in canonical order regardless of the
     /// request's order.
@@ -786,7 +706,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_render_shape() {
+    fn metrics_render_shape() {
         let m = ServerMetrics::new();
         m.latency.record(Duration::from_micros(100));
         let mut snap = snapshot(&m, 2);
@@ -795,20 +715,21 @@ mod tests {
             misses: 1,
             ..CacheStats::default()
         };
-        let v = snap.render_stats(5);
+        let v = snap.render_metrics(5, &[]);
         assert_eq!(v.get("id").and_then(Json::as_u64), Some(5));
-        assert_eq!(v.get("deprecated").and_then(Json::as_bool), Some(true));
-        let stats = v.get("stats").unwrap();
-        assert_eq!(stats.get("queue_depth").and_then(Json::as_usize), Some(2));
-        let cache = stats.get("cache").unwrap();
+        let body = v.get("metrics").unwrap();
+        let server = body.get("server").unwrap();
+        assert_eq!(server.get("queue_depth").and_then(Json::as_usize), Some(2));
+        let cache = body.get("cache").unwrap();
         assert_eq!(cache.get("hit_rate").and_then(Json::as_f64), Some(0.75));
-        let lat = stats.get("latency_us").unwrap();
+        let histograms = body.get("histograms").unwrap();
+        let lat = histograms.get("latency_us").unwrap();
         assert_eq!(lat.get("count").and_then(Json::as_u64), Some(1));
         assert!(lat.get("p99").unwrap().as_u64().is_some());
         // Unrecorded histograms render null percentiles AND a null max —
         // an empty histogram is unambiguous, not a fake 0µs maximum.
         for key in ["queue_wait_us", "compute_us"] {
-            let split = stats.get(key).unwrap();
+            let split = histograms.get(key).unwrap();
             assert_eq!(split.get("count").and_then(Json::as_u64), Some(0));
             assert_eq!(split.get("p50"), Some(&Json::Null));
             assert_eq!(split.get("max"), Some(&Json::Null));
@@ -821,10 +742,10 @@ mod tests {
         m.latency.record(Duration::from_micros(900));
         m.queue_wait.record(Duration::from_micros(500));
         m.compute.record(Duration::from_micros(400));
-        let v = snapshot(&m, 0).render_stats(1);
-        let stats = v.get("stats").unwrap();
+        let v = snapshot(&m, 0).render_metrics(1, &[Section::Histograms]);
+        let histograms = v.get("metrics").and_then(|b| b.get("histograms")).unwrap();
         let p100 = |key: &str| {
-            stats
+            histograms
                 .get(key)
                 .and_then(|h| h.get("max"))
                 .and_then(Json::as_u64)
@@ -950,13 +871,6 @@ mod tests {
         });
         let v = snap.render_metrics(4, &[Section::Store]);
         let store = v.get("metrics").unwrap().get("store").unwrap();
-        assert_eq!(
-            store.get("digest").and_then(Json::as_u64),
-            Some(0xDEAD_BEEF)
-        );
-        // The deprecated store verb carries it too (same body renderer).
-        let v = snap.render_store(4);
-        let store = v.get("store").unwrap();
         assert_eq!(
             store.get("digest").and_then(Json::as_u64),
             Some(0xDEAD_BEEF)

@@ -19,7 +19,7 @@ use gbd_engine::{
 use gbd_field::sensor::SensorId;
 use gbd_geometry::point::Point;
 use gbd_sim::config::{BoundaryPolicy, DeploymentSpec, MotionSpec};
-use gbd_sim::reports::{DetectionReport, ReportKind};
+use gbd_stream::{DetectionReport, ReportKind};
 use std::time::Duration;
 
 /// Paper-default system parameters a request's `params` object overrides
@@ -141,10 +141,6 @@ pub enum Verb {
     },
     /// Cancel every `watch` stream on this connection.
     Unwatch,
-    /// Deprecated alias: the pre-redesign server counters payload.
-    Stats,
-    /// Deprecated alias: the pre-redesign persistent-store payload.
-    Store,
     /// Liveness probe; answers immediately, bypassing the coalescer.
     Ping,
     /// Begin graceful shutdown (drain in-flight batches, then exit).
@@ -308,11 +304,9 @@ pub fn parse_line(line: &str) -> Result<Envelope, WireError> {
                 .map_err(&fail)?;
             Verb::Report { reports }
         }
-        "stats" | "store" | "ping" | "shutdown" | "unwatch" | "stream_close" => {
+        "ping" | "shutdown" | "unwatch" | "stream_close" => {
             check_fields(&root, &["id", "verb"]).map_err(&fail)?;
             match verb_name {
-                "stats" => Verb::Stats,
-                "store" => Verb::Store,
                 "ping" => Verb::Ping,
                 "unwatch" => Verb::Unwatch,
                 "stream_close" => Verb::StreamClose,
@@ -321,8 +315,8 @@ pub fn parse_line(line: &str) -> Result<Envelope, WireError> {
         }
         other => {
             return Err(fail(format!(
-                "unknown verb `{other}` (expected eval, metrics, watch, unwatch, stats, \
-                 store, ping, shutdown, stream_open, report, or stream_close)"
+                "unknown verb `{other}` (expected eval, metrics, watch, unwatch, ping, \
+                 shutdown, stream_open, report, or stream_close)"
             )))
         }
     };
@@ -823,16 +817,8 @@ mod tests {
     #[test]
     fn parses_control_verbs() {
         assert_eq!(
-            parse_line(r#"{"id":2,"verb":"stats"}"#).unwrap().verb,
-            Verb::Stats
-        );
-        assert_eq!(
             parse_line(r#"{"id":3,"verb":"ping"}"#).unwrap().verb,
             Verb::Ping
-        );
-        assert_eq!(
-            parse_line(r#"{"id":6,"verb":"store"}"#).unwrap().verb,
-            Verb::Store
         );
         assert_eq!(
             parse_line(r#"{"id":4,"verb":"shutdown"}"#).unwrap().verb,
@@ -977,6 +963,8 @@ mod tests {
             r#"{"id":-1,"verb":"ping"}"#,
             r#"{"id":1.5,"verb":"ping"}"#,
             r#"{"id":1,"verb":"frobnicate"}"#,
+            r#"{"id":1,"verb":"stats"}"#,
+            r#"{"id":1,"verb":"store"}"#,
             r#"{"id":1,"verb":"eval","params":{"n":-4}}"#,
             r#"{"id":1,"verb":"eval","params":{"pd":1.5}}"#,
             r#"{"id":1,"verb":"eval","backend":{"kind":"warp"}}"#,

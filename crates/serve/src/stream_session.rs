@@ -20,15 +20,16 @@
 //! channel is bounded, so a client that stops draining events blocks the
 //! reader, which stops reading reports off the socket.
 
-use crate::conn::WriteItem;
+use crate::conn::{control_reply, WriteItem};
 use crate::json::Json;
 use crate::metrics::ServerMetrics;
 use crate::protocol::{self, ErrorCode, StreamOpenSpec, Verb};
 use crate::server::ServerShared;
 use gbd_obs::CancelToken;
-use gbd_sim::group_filter::TrackRule;
-use gbd_sim::reports::DetectionReport;
-use gbd_stream::{DetectionEvent, StreamConfig, StreamDetector, DEFAULT_MAX_TRACKS};
+use gbd_stream::{
+    DetectionEvent, DetectionReport, StreamConfig, StreamDetector, TrackRule,
+    DEFAULT_MAX_TRACKS,
+};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, SyncSender};
 use std::sync::Arc;
@@ -239,6 +240,9 @@ pub(crate) fn handle_in_session(
         // Callers only route here with an open session.
         return SessionFlow::Continue;
     };
+    if let Some(reply) = control_reply(id, &verb, shared, watch_tokens) {
+        return session.send(reply);
+    }
     let metrics = &shared.metrics;
     match verb {
         Verb::Report { reports } => {
@@ -251,47 +255,6 @@ pub(crate) fn handle_in_session(
                 Some(active) => active.close(id, metrics),
                 None => SessionFlow::Continue,
             }
-        }
-        Verb::Ping => {
-            metrics.record_verb("ping");
-            session.send(protocol::pong(id))
-        }
-        Verb::Metrics { sections } => {
-            metrics.record_verb("metrics");
-            session.send(shared.metrics_snapshot().render_metrics(id, &sections))
-        }
-        Verb::Stats => {
-            metrics.record_verb("stats");
-            metrics.deprecated_verb_calls.inc();
-            session.send(shared.metrics_snapshot().render_stats(id))
-        }
-        Verb::Store => {
-            metrics.record_verb("store");
-            metrics.deprecated_verb_calls.inc();
-            session.send(shared.metrics_snapshot().render_store(id))
-        }
-        Verb::Unwatch => {
-            metrics.record_verb("unwatch");
-            let cancelled = watch_tokens.iter().filter(|t| !t.is_cancelled()).count();
-            for token in watch_tokens.drain(..) {
-                token.cancel();
-            }
-            metrics.registry().reap_cancelled();
-            session.send(Json::obj(vec![
-                ("id".to_string(), Json::Int(id as i64)),
-                ("ok".to_string(), Json::Bool(true)),
-                ("unwatched".to_string(), Json::from(cancelled)),
-            ]))
-        }
-        Verb::Shutdown => {
-            metrics.record_verb("shutdown");
-            let ack = Json::obj(vec![
-                ("id".to_string(), Json::Int(id as i64)),
-                ("ok".to_string(), Json::Bool(true)),
-                ("shutting_down".to_string(), Json::Bool(true)),
-            ]);
-            shared.begin_shutdown();
-            session.send(ack)
         }
         Verb::StreamOpen(_) => {
             metrics.record_verb("stream_open");
@@ -321,6 +284,10 @@ pub(crate) fn handle_in_session(
                 "watch is not available while a stream session is open; \
                  send stream_close first",
             ))
+        }
+        // Answered by `control_reply` above.
+        Verb::Ping | Verb::Metrics { .. } | Verb::Unwatch | Verb::Shutdown => {
+            SessionFlow::Continue
         }
     }
 }

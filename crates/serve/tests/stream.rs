@@ -9,7 +9,7 @@ use gbd_engine::Engine;
 use gbd_serve::{Json, ServeConfig, Server, ServerHandle};
 use gbd_sim::config::SimConfig;
 use gbd_sim::engine::run_trial;
-use gbd_sim::reports::DetectionReport;
+use gbd_stream::DetectionReport;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;

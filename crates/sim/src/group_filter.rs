@@ -3,158 +3,32 @@
 //!
 //! The paper abstracts group detection as "a sequence of at least `k`
 //! detection reports within `M` sensing periods **that can be mapped to a
-//! possible target track**". This module implements the mapping test the
-//! base station would actually run: a report sequence is track-feasible if
-//! some target moving at most `v_max` could have triggered every report —
-//! i.e. consecutive reports' sensors are mutually reachable:
-//!
-//! `dist(pos_i, pos_j) <= v_max · t · (period_j − period_i + 1) + 2·Rs`
-//!
-//! (each sensor sees the target anywhere within `Rs` of the segment its
-//! period covers, hence the `+1` period and the `2·Rs` slack). The longest
-//! feasible chain is found by DP in `O(R²)`; detection fires when a chain
-//! of length `>= k` fits inside an `M`-period window.
+//! possible target track**". [`TrackRule`] is the mapping test the base
+//! station would actually run, and the longest feasible chain is found by
+//! `gbd_stream`'s incremental detector — the same code that serves live
+//! detection sessions. [`group_detects`] replays one trial's reports
+//! through it; detection fires when a chain of length `>= k` fits inside an
+//! `M`-period window.
 //!
 //! True-target reports always form a feasible chain; scattered false alarms
 //! rarely do — this is exactly the mechanism by which group detection
 //! filters system-level false alarms.
 
 use crate::reports::DetectionReport;
+use gbd_stream::{StreamConfig, StreamDetector};
 
-/// Feasibility rule linking two reports.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrackRule {
-    /// Maximum plausible target speed in m/s.
-    pub v_max: f64,
-    /// Sensing period length in seconds.
-    pub period_s: f64,
-    /// Sensing range in meters (adds `2·Rs` slack to the reachability test).
-    pub sensing_range: f64,
-    /// When set, distances wrap around a `(width, height)` torus — used to
-    /// match simulations run under the toroidal boundary policy.
-    pub wrap: Option<(f64, f64)>,
-}
-
-impl TrackRule {
-    /// Creates a rule for a bounded field.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any argument is negative or not finite.
-    pub fn new(v_max: f64, period_s: f64, sensing_range: f64) -> Self {
-        assert!(
-            v_max.is_finite() && v_max >= 0.0,
-            "v_max must be finite and >= 0"
-        );
-        assert!(
-            period_s.is_finite() && period_s > 0.0,
-            "period_s must be finite and > 0"
-        );
-        assert!(
-            sensing_range.is_finite() && sensing_range >= 0.0,
-            "sensing_range must be finite and >= 0"
-        );
-        TrackRule {
-            v_max,
-            period_s,
-            sensing_range,
-            wrap: None,
-        }
-    }
-
-    /// Returns a copy whose distances wrap around a `width × height` torus.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is not finite and positive.
-    pub fn with_wrap(mut self, width: f64, height: f64) -> Self {
-        assert!(
-            width.is_finite() && width > 0.0,
-            "width must be finite and > 0"
-        );
-        assert!(
-            height.is_finite() && height > 0.0,
-            "height must be finite and > 0"
-        );
-        self.wrap = Some((width, height));
-        self
-    }
-
-    fn distance(&self, a: &DetectionReport, b: &DetectionReport) -> f64 {
-        match self.wrap {
-            None => a.position.distance(b.position),
-            Some((w, h)) => {
-                let dx = (a.position.x - b.position.x).abs() % w;
-                let dy = (a.position.y - b.position.y).abs() % h;
-                let dx = dx.min(w - dx);
-                let dy = dy.min(h - dy);
-                (dx * dx + dy * dy).sqrt()
-            }
-        }
-    }
-
-    /// Whether report `b` could follow report `a` on one target's track.
-    /// Reports in the same period are compatible if their sensors could
-    /// have seen the same one-period segment (`V·t + 2·Rs` apart at most).
-    pub fn compatible(&self, a: &DetectionReport, b: &DetectionReport) -> bool {
-        let dp = b.period.abs_diff(a.period) as f64;
-        let reach = self.v_max * self.period_s * (dp + 1.0) + 2.0 * self.sensing_range;
-        self.distance(a, b) <= reach
-    }
-}
-
-/// Length of the longest track-feasible report chain whose periods span
-/// less than `m_periods`.
-///
-/// Chains are non-decreasing in period; all pairs in a chain must be
-/// pairwise compatible with the *chain's* timing — we use the standard
-/// consecutive-pair relaxation (compatibility with the previous chain
-/// element), which true tracks satisfy exactly and which admits only
-/// geometrically plausible false-alarm chains.
-pub fn longest_feasible_chain(
-    reports: &[DetectionReport],
-    rule: &TrackRule,
-    m_periods: usize,
-) -> usize {
-    let mut sorted: Vec<&DetectionReport> = reports.iter().collect();
-    sorted.sort_by_key(|r| r.period);
-    let n = sorted.len();
-    let mut best_len = vec![1usize; n];
-    // first_period[i]: earliest period of the best chain ending at i, to
-    // enforce the M-period window.
-    let mut first_period = vec![0usize; n];
-    for i in 0..n {
-        first_period[i] = sorted[i].period;
-    }
-    let mut best = 0;
-    for i in 0..n {
-        for j in 0..i {
-            if sorted[j].period > sorted[i].period {
-                continue;
-            }
-            if !rule.compatible(sorted[j], sorted[i]) {
-                continue;
-            }
-            // Window check: extending j's chain keeps its first period.
-            if sorted[i].period - first_period[j] >= m_periods {
-                continue;
-            }
-            if best_len[j] + 1 > best_len[i] {
-                best_len[i] = best_len[j] + 1;
-                first_period[i] = first_period[j];
-            }
-        }
-        best = best.max(best_len[i]);
-    }
-    if n == 0 {
-        0
-    } else {
-        best
-    }
-}
+pub use gbd_stream::TrackRule;
 
 /// The system-level group detection decision: does any track-feasible chain
 /// of at least `k` reports fit within `m_periods`?
+///
+/// One [`StreamDetector`] pass over `reports`, with the track cap set to the
+/// report count so no entry is ever evicted and the answer is the exact
+/// longest chain.
+///
+/// # Panics
+///
+/// Panics if `k` or `m_periods` is zero.
 pub fn group_detects(
     reports: &[DetectionReport],
     rule: &TrackRule,
@@ -164,181 +38,8 @@ pub fn group_detects(
     if reports.len() < k {
         return false;
     }
-    longest_feasible_chain(reports, rule, m_periods) >= k
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::reports::ReportKind;
-    use gbd_field::sensor::SensorId;
-    use gbd_geometry::point::Point;
-
-    fn report(id: usize, period: usize, x: f64, y: f64) -> DetectionReport {
-        DetectionReport::new(
-            SensorId(id),
-            period,
-            Point::new(x, y),
-            ReportKind::TrueDetection,
-        )
-    }
-
-    fn rule() -> TrackRule {
-        // Paper parameters: v_max 10 m/s, t = 60 s, Rs = 1000 m.
-        TrackRule::new(10.0, 60.0, 1000.0)
-    }
-
-    #[test]
-    fn true_track_chain_is_fully_feasible() {
-        // Reports from sensors near a straight track at 600 m per period.
-        let reports: Vec<_> = (1..=6)
-            .map(|p| report(p, p, 600.0 * p as f64, 100.0))
-            .collect();
-        assert_eq!(longest_feasible_chain(&reports, &rule(), 20), 6);
-        assert!(group_detects(&reports, &rule(), 5, 20));
-    }
-
-    #[test]
-    fn scattered_false_alarms_do_not_chain() {
-        // Reports far apart in space within adjacent periods: infeasible.
-        let reports = vec![
-            report(1, 1, 0.0, 0.0),
-            report(2, 2, 20_000.0, 0.0),
-            report(3, 3, 0.0, 20_000.0),
-            report(4, 4, 20_000.0, 20_000.0),
-            report(5, 5, 10_000.0, 31_000.0),
-        ];
-        assert!(longest_feasible_chain(&reports, &rule(), 20) < 3);
-        assert!(!group_detects(&reports, &rule(), 5, 20));
-    }
-
-    #[test]
-    fn same_period_reports_need_overlapping_drs() {
-        // Same-period reach: V·t + 2·Rs = 600 + 2000 = 2600 m.
-        let a = report(1, 1, 0.0, 0.0);
-        let near = report(2, 1, 2500.0, 0.0);
-        let far = report(3, 1, 2700.0, 0.0);
-        assert!(rule().compatible(&a, &near));
-        assert!(!rule().compatible(&a, &far));
-    }
-
-    #[test]
-    fn wrapped_rule_links_across_borders() {
-        let wrapped = rule().with_wrap(32_000.0, 32_000.0);
-        let a = report(1, 1, 100.0, 0.0);
-        let b = report(2, 1, 31_900.0, 0.0); // 200 m away through the wrap
-        assert!(!rule().compatible(&a, &b));
-        assert!(wrapped.compatible(&a, &b));
-    }
-
-    #[test]
-    fn window_constraint_splits_long_sequences() {
-        // 6 feasible reports but spread over 30 periods with window 5:
-        // chains cannot span the window.
-        let reports: Vec<_> = (0..6)
-            .map(|i| report(i, 1 + i * 6, 100.0 * i as f64, 0.0))
-            .collect();
-        let longest = longest_feasible_chain(&reports, &rule(), 5);
-        assert!(longest <= 1, "got {longest}");
-    }
-
-    #[test]
-    fn empty_and_small_inputs() {
-        assert_eq!(longest_feasible_chain(&[], &rule(), 20), 0);
-        assert!(!group_detects(&[], &rule(), 1, 20));
-        let one = vec![report(1, 1, 0.0, 0.0)];
-        assert_eq!(longest_feasible_chain(&one, &rule(), 20), 1);
-        assert!(group_detects(&one, &rule(), 1, 20));
-        assert!(!group_detects(&one, &rule(), 2, 20));
-    }
-
-    #[test]
-    fn stationary_rule_still_chains_repeat_reports() {
-        // v_max = 0: only reports within 2·Rs chain (a loitering target
-        // seen repeatedly by the same neighborhood).
-        let r = TrackRule::new(0.0, 60.0, 1000.0);
-        let reports = vec![
-            report(1, 1, 0.0, 0.0),
-            report(1, 2, 0.0, 0.0),
-            report(2, 3, 1500.0, 0.0),
-        ];
-        assert_eq!(longest_feasible_chain(&reports, &r, 20), 3);
-    }
-
-    #[test]
-    fn chain_respects_period_ordering() {
-        // Compatibility alone would allow hopping backwards; ordering by
-        // period forbids it.
-        let reports = vec![report(1, 3, 0.0, 0.0), report(2, 1, 100.0, 0.0)];
-        assert_eq!(longest_feasible_chain(&reports, &rule(), 20), 2);
-        // Both orders in the input give the same answer (sorted internally).
-        let rev = vec![reports[1], reports[0]];
-        assert_eq!(longest_feasible_chain(&rev, &rule(), 20), 2);
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use crate::reports::ReportKind;
-    use gbd_field::sensor::SensorId;
-    use gbd_geometry::point::{Point, Vector};
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Reports generated within Rs of a straight constant-speed track
-        /// always form one fully feasible chain: the filter never rejects a
-        /// genuine target.
-        #[test]
-        fn true_track_reports_always_chain(
-            heading in 0.0f64..std::f64::consts::TAU,
-            speed in 1.0f64..12.0,
-            offsets in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0, 1usize..20), 2..25),
-        ) {
-            let rs = 1000.0;
-            let period_s = 60.0;
-            let dir = Vector::from_heading(heading);
-            let reports: Vec<DetectionReport> = offsets
-                .iter()
-                .enumerate()
-                .map(|(i, &(ox, oy, period))| {
-                    // Sensor within Rs of the target's mid-period position.
-                    let t = period as f64 - 0.5;
-                    let on_track = Point::ORIGIN + dir * (speed * period_s * t);
-                    let jitter = Vector::new(ox, oy) * (rs / 2.0_f64.sqrt() * 0.99);
-                    DetectionReport::new(
-                        SensorId(i),
-                        period,
-                        on_track + jitter,
-                        ReportKind::TrueDetection,
-                    )
-                })
-                .collect();
-            let rule = TrackRule::new(speed, period_s, rs);
-            let longest = longest_feasible_chain(&reports, &rule, 20);
-            prop_assert_eq!(longest, reports.len(), "a true track must chain fully");
-        }
-
-        /// The longest feasible chain never exceeds the number of reports
-        /// and is monotone under adding reports.
-        #[test]
-        fn chain_length_is_monotone_in_reports(
-            xs in proptest::collection::vec((0.0f64..32_000.0, 0.0f64..32_000.0, 1usize..20), 1..20),
-        ) {
-            let rule = TrackRule::new(10.0, 60.0, 1000.0);
-            let reports: Vec<DetectionReport> = xs
-                .iter()
-                .enumerate()
-                .map(|(i, &(x, y, p))| {
-                    DetectionReport::new(SensorId(i), p, Point::new(x, y), ReportKind::FalseAlarm)
-                })
-                .collect();
-            let full = longest_feasible_chain(&reports, &rule, 20);
-            prop_assert!(full <= reports.len());
-            let partial = longest_feasible_chain(&reports[..reports.len() - 1], &rule, 20);
-            prop_assert!(partial <= full, "removing a report grew the chain");
-        }
-    }
+    let config = StreamConfig::new(*rule, k, m_periods).with_max_tracks(reports.len().max(1));
+    let mut detector = StreamDetector::new(config);
+    detector.ingest(reports);
+    detector.detected()
 }

@@ -14,9 +14,10 @@
 //!   a pure function of the master seed, independent of thread count);
 //! * [`config::BoundaryPolicy`]-controlled border handling (torus matches
 //!   the analysis; bounded quantifies the border effect);
-//! * node-level false-alarm injection and the velocity-feasibility
-//!   [`group_filter`] that maps report sequences to possible target tracks
-//!   (the concrete group-detection algorithm the paper abstracts);
+//! * node-level false-alarm injection and the per-trial [`group_filter`]
+//!   decision, which replays each trial's reports through `gbd_stream`'s
+//!   velocity-feasibility detector — the concrete group-detection
+//!   algorithm the paper abstracts, shared with the streaming sessions;
 //! * a communication-deadline check ([`comm_check`]) wired to the
 //!   `gbd-net` substrate;
 //! * constant-velocity [`tracking`] estimation from report positions, with

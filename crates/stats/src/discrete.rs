@@ -36,7 +36,6 @@ const MASS_EPS: f64 = 1e-9;
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DiscreteDist {
     pmf: Vec<f64>,
 }

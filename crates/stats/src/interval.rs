@@ -9,7 +9,6 @@ use crate::StatsError;
 
 /// Two-sided confidence interval `[lo, hi]` for a proportion.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProportionInterval {
     /// Point estimate `successes / trials`.
     pub estimate: f64,

@@ -23,7 +23,6 @@ use crate::StatsError;
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Poisson {
     lambda: f64,
 }

@@ -19,7 +19,6 @@
 /// assert!((s.population_variance() - 4.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -154,7 +153,6 @@ impl FromIterator<f64> for Summary {
 /// Values below `lo` land in the first bin, values at or above `hi` in the
 /// last — counts are never dropped.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Histogram {
     lo: f64,
     hi: f64,

@@ -1,26 +1,30 @@
-//! Incremental online group-based detection.
+//! Incremental online group-based detection — the one implementation of
+//! the paper's group filter.
 //!
-//! The batch filter in `gbd_sim::group_filter` answers "did a track-feasible
-//! chain of ≥ k reports form within M periods" after the fact, given every
-//! report at once. This crate answers the same question *online*: reports
-//! arrive over time, the detector maintains the per-report DP state
-//! incrementally, and a [`DetectionEvent`] fires the moment a chain reaches
-//! length `k` — carrying the period that completed it, i.e. the
-//! time-to-detection.
+//! The paper declares a detection when at least `k` reports within `M`
+//! periods "can be mapped to a possible target track". [`TrackRule`] is
+//! that mapping for a pair of reports; [`StreamDetector`] finds the longest
+//! track-feasible chain. Reports arrive over time, the detector maintains
+//! the per-report DP state incrementally, and a [`DetectionEvent`] fires
+//! the moment a chain reaches length `k` — carrying the period that
+//! completed it, i.e. the time-to-detection. Served sessions feed it live;
+//! the simulator's false-alarm studies (`gbd_sim::group_filter`) replay each
+//! trial's reports through it in one batch.
 //!
-//! # Bit-identity with the batch filter
+//! # The batch DP it reproduces
 //!
-//! `longest_feasible_chain` stably sorts reports by period and then, at
-//! iteration `i`, relaxes `best_len[i]` / `first_period[i]` against entries
-//! `j < i` only. Both arrays are *final* after iteration `i` — later
-//! iterations never revisit them. So when reports arrive in non-decreasing
-//! period order (arrival order ≡ the stable sort order), processing each
-//! report once against the already-ingested entries performs exactly the
-//! batch DP's iteration for that report, and the running maximum of chain
-//! lengths equals the batch result on every prefix. [`StreamDetector`]
-//! exploits this: same compatibility test, same window check, same
-//! strict-greater relaxation, same entry order — the committed tests pin the
-//! equality per prefix against `longest_feasible_chain` itself.
+//! The after-the-fact formulation stably sorts reports by period and then,
+//! at iteration `i`, relaxes `best_len[i]` / `first_period[i]` against
+//! entries `j < i` only. Both arrays are *final* after iteration `i` —
+//! later iterations never revisit them. So when reports arrive in
+//! non-decreasing period order (arrival order ≡ the stable sort order),
+//! processing each report once against the already-ingested entries
+//! performs exactly the batch DP's iteration for that report, and the
+//! running maximum of chain lengths equals the batch result on every
+//! prefix. [`StreamDetector`] exploits this: same compatibility test, same
+//! window check, same strict-greater relaxation, same entry order. The
+//! batch DP survives as a test-only reference (`tests/batch_oracle`), and
+//! the committed tests pin the equality per prefix against it.
 //!
 //! Two departures are possible only under explicit, counted degradation:
 //! reports older than the stream frontier are dropped (they would break the
@@ -36,8 +40,16 @@
 use std::collections::VecDeque;
 
 use gbd_field::sensor::SensorId;
-use gbd_sim::group_filter::TrackRule;
-use gbd_sim::reports::DetectionReport;
+
+mod reports;
+mod rule;
+
+pub use reports::{DetectionReport, ReportKind};
+pub use rule::TrackRule;
+
+#[cfg(test)]
+#[path = "../tests/batch_oracle/mod.rs"]
+mod batch_oracle;
 
 /// Default cap on live DP entries per detector ([`StreamConfig::max_tracks`]).
 pub const DEFAULT_MAX_TRACKS: usize = 4096;
@@ -45,8 +57,8 @@ pub const DEFAULT_MAX_TRACKS: usize = 4096;
 /// Parameters of one streaming detection session.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
-    /// Velocity-feasibility rule linking reports (same rule as the batch
-    /// filter, including the optional torus wrap).
+    /// Velocity-feasibility rule linking reports (including the optional
+    /// torus wrap).
     pub rule: TrackRule,
     /// Group size: a detection event fires when a feasible chain reaches
     /// this many reports.
@@ -120,7 +132,7 @@ pub struct StreamStats {
     pub tracks_evicted: u64,
 }
 
-/// One report's DP state: the batch filter's `best_len[i]` /
+/// One report's DP state: the batch DP's `best_len[i]` /
 /// `first_period[i]` pair, frozen once ingested.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -141,7 +153,7 @@ pub struct StreamDetector {
     /// Highest period ingested so far (0 before the first report).
     frontier: usize,
     /// Running maximum chain length over all ingested reports — equals the
-    /// batch `longest_feasible_chain` over the accepted prefix.
+    /// batch DP's longest chain over the accepted prefix.
     longest: usize,
     next_seq: u64,
     stats: StreamStats,
@@ -169,8 +181,8 @@ impl StreamDetector {
     /// trigger, in ingestion order.
     ///
     /// The batch is stably sorted by period first (mirroring the batch
-    /// filter's sort), so within-batch order only matters between reports
-    /// of the same period — where it matches the batch filter's tie-break.
+    /// DP's sort), so within-batch order only matters between reports of
+    /// the same period — where it matches the batch DP's tie-break.
     pub fn ingest(&mut self, reports: &[DetectionReport]) -> Vec<DetectionEvent> {
         let mut batch: Vec<&DetectionReport> = reports.iter().collect();
         batch.sort_by_key(|r| r.period);
@@ -240,13 +252,13 @@ impl StreamDetector {
     }
 
     /// Longest feasible chain over every accepted report so far — equal to
-    /// running `longest_feasible_chain` on the accepted prefix.
+    /// running the batch DP on the accepted prefix.
     pub fn longest_chain(&self) -> usize {
         self.longest
     }
 
-    /// Whether a chain of ≥ `k` reports has formed (the batch
-    /// `group_detects` decision over the accepted prefix).
+    /// Whether a chain of ≥ `k` reports has formed (the group detection
+    /// decision over the accepted prefix).
     pub fn detected(&self) -> bool {
         self.longest >= self.config.k
     }
@@ -270,9 +282,8 @@ impl StreamDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch_oracle;
     use gbd_geometry::point::Point;
-    use gbd_sim::group_filter::longest_feasible_chain;
-    use gbd_sim::reports::ReportKind;
 
     fn report(id: usize, period: usize, x: f64, y: f64) -> DetectionReport {
         DetectionReport::new(
@@ -286,6 +297,15 @@ mod tests {
     fn rule() -> TrackRule {
         // Paper parameters: v_max 10 m/s, t = 60 s, Rs = 1000 m.
         TrackRule::new(10.0, 60.0, 1000.0)
+    }
+
+    /// One uncapped pass over `reports` (how the simulator runs the
+    /// filter): the longest feasible chain the detector finds.
+    pub(super) fn longest(reports: &[DetectionReport], rule: &TrackRule, m: usize) -> usize {
+        let cfg = StreamConfig::new(*rule, 1, m).with_max_tracks(reports.len().max(1));
+        let mut det = StreamDetector::new(cfg);
+        det.ingest(reports);
+        det.longest_chain()
     }
 
     #[test]
@@ -409,18 +429,70 @@ mod tests {
         let mut det = StreamDetector::new(StreamConfig::new(rule(), 4, m));
         for prefix in 1..=reports.len() {
             det.ingest(&reports[prefix - 1..prefix]);
-            let batch = longest_feasible_chain(&reports[..prefix], &rule(), m);
+            let batch = batch_oracle::longest_feasible_chain(&reports[..prefix], &rule(), m);
             assert_eq!(det.longest_chain(), batch, "prefix {prefix}");
+            let decision = batch_oracle::group_detects(&reports[..prefix], &rule(), 4, m);
+            assert_eq!(det.detected(), decision, "prefix {prefix}");
         }
+    }
+
+    #[test]
+    fn window_constraint_splits_long_sequences() {
+        // 6 feasible reports but spread over 30 periods with window 5:
+        // chains cannot span the window.
+        let reports: Vec<_> = (0..6)
+            .map(|i| report(i, 1 + i * 6, 100.0 * i as f64, 0.0))
+            .collect();
+        let longest = longest(&reports, &rule(), 5);
+        assert!(longest <= 1, "got {longest}");
+    }
+
+    #[test]
+    fn empty_and_small_inputs() {
+        assert_eq!(longest(&[], &rule(), 20), 0);
+        let mut det = StreamDetector::new(StreamConfig::new(rule(), 1, 20));
+        assert!(det.ingest(&[]).is_empty());
+        assert!(!det.detected());
+        let one = [report(1, 1, 0.0, 0.0)];
+        assert_eq!(longest(&one, &rule(), 20), 1);
+        assert_eq!(det.ingest(&one).len(), 1);
+        assert!(det.detected());
+        let mut pair = StreamDetector::new(StreamConfig::new(rule(), 2, 20));
+        pair.ingest(&one);
+        assert!(!pair.detected());
+    }
+
+    #[test]
+    fn stationary_rule_still_chains_repeat_reports() {
+        // v_max = 0: only reports within 2·Rs chain (a loitering target
+        // seen repeatedly by the same neighborhood).
+        let r = TrackRule::new(0.0, 60.0, 1000.0);
+        let reports = vec![
+            report(1, 1, 0.0, 0.0),
+            report(1, 2, 0.0, 0.0),
+            report(2, 3, 1500.0, 0.0),
+        ];
+        assert_eq!(longest(&reports, &r, 20), 3);
+    }
+
+    #[test]
+    fn chain_respects_period_ordering() {
+        // Compatibility alone would allow hopping backwards; ordering by
+        // period forbids it.
+        let reports = vec![report(1, 3, 0.0, 0.0), report(2, 1, 100.0, 0.0)];
+        assert_eq!(longest(&reports, &rule(), 20), 2);
+        // Both orders in the input give the same answer (sorted on ingest).
+        let rev = vec![reports[1], reports[0]];
+        assert_eq!(longest(&rev, &rule(), 20), 2);
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::longest;
     use super::*;
-    use gbd_geometry::point::Point;
-    use gbd_sim::group_filter::longest_feasible_chain;
-    use gbd_sim::reports::ReportKind;
+    use crate::batch_oracle::longest_feasible_chain;
+    use gbd_geometry::point::{Point, Vector};
     use proptest::prelude::*;
 
     proptest! {
@@ -459,7 +531,7 @@ mod proptests {
         }
 
         /// Expiry never changes the answer: a detector with expiry enabled
-        /// (frontier advancing) agrees with the batch filter even when many
+        /// (frontier advancing) agrees with the batch DP even when many
         /// entries are reaped along the way.
         #[test]
         fn expiry_is_lossless(
@@ -482,6 +554,58 @@ mod proptests {
             }
             let batch = longest_feasible_chain(&reports, &rule, m);
             prop_assert_eq!(det.longest_chain(), batch);
+        }
+
+        /// Reports generated within Rs of a straight constant-speed track
+        /// always form one fully feasible chain: the filter never rejects a
+        /// genuine target.
+        #[test]
+        fn true_track_reports_always_chain(
+            heading in 0.0f64..std::f64::consts::TAU,
+            speed in 1.0f64..12.0,
+            offsets in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0, 1usize..20), 2..25),
+        ) {
+            let rs = 1000.0;
+            let period_s = 60.0;
+            let dir = Vector::from_heading(heading);
+            let reports: Vec<DetectionReport> = offsets
+                .iter()
+                .enumerate()
+                .map(|(i, &(ox, oy, period))| {
+                    // Sensor within Rs of the target's mid-period position.
+                    let t = period as f64 - 0.5;
+                    let on_track = Point::ORIGIN + dir * (speed * period_s * t);
+                    let jitter = Vector::new(ox, oy) * (rs / 2.0_f64.sqrt() * 0.99);
+                    DetectionReport::new(
+                        SensorId(i),
+                        period,
+                        on_track + jitter,
+                        ReportKind::TrueDetection,
+                    )
+                })
+                .collect();
+            let rule = TrackRule::new(speed, period_s, rs);
+            prop_assert_eq!(longest(&reports, &rule, 20), reports.len(), "a true track must chain fully");
+        }
+
+        /// The longest feasible chain never exceeds the number of reports
+        /// and is monotone under adding reports.
+        #[test]
+        fn chain_length_is_monotone_in_reports(
+            xs in proptest::collection::vec((0.0f64..32_000.0, 0.0f64..32_000.0, 1usize..20), 1..20),
+        ) {
+            let rule = TrackRule::new(10.0, 60.0, 1000.0);
+            let reports: Vec<DetectionReport> = xs
+                .iter()
+                .enumerate()
+                .map(|(i, &(x, y, p))| {
+                    DetectionReport::new(SensorId(i), p, Point::new(x, y), ReportKind::FalseAlarm)
+                })
+                .collect();
+            let full = longest(&reports, &rule, 20);
+            prop_assert!(full <= reports.len());
+            let partial = longest(&reports[..reports.len() - 1], &rule, 20);
+            prop_assert!(partial <= full, "removing a report grew the chain");
         }
     }
 }

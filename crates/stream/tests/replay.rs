@@ -1,16 +1,25 @@
 //! Ground-truth replay: streaming detection over the simulator's report
-//! streams must be bit-identical to the batch group filter, and must
-//! reproduce the committed `results/time_to_detection.csv` scenario's
-//! first-detection periods exactly.
+//! streams must be bit-identical to the batch DP reference
+//! (`batch_oracle`), the simulator's filter (`gbd_sim::group_filter`, one
+//! detector pass per trial) must make the reference's decision, and the
+//! stream must reproduce the committed `results/time_to_detection.csv`
+//! scenario's first-detection periods exactly.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod batch_oracle;
+
+use batch_oracle::longest_feasible_chain;
 use gbd_core::params::SystemParams;
+use gbd_field::sensor::SensorId;
+use gbd_geometry::point::{Point, Vector};
 use gbd_sim::config::SimConfig;
 use gbd_sim::engine::run_trial;
-use gbd_sim::group_filter::{group_detects, longest_feasible_chain, TrackRule};
-use gbd_sim::reports::DetectionReport;
-use gbd_stream::{StreamConfig, StreamDetector};
+use gbd_sim::group_filter::group_detects;
+use gbd_stream::{
+    DetectionReport, ReportKind, StreamConfig, StreamDetector, TrackRule, DEFAULT_MAX_TRACKS,
+};
+use proptest::prelude::*;
 
 /// The scenario behind `results/time_to_detection.csv` (see
 /// `crates/bench/src/bin/time_to_detection.rs`): paper defaults with
@@ -74,10 +83,21 @@ fn streaming_replay_matches_batch_filter_per_trial() {
                 "trial {trial} prefix {prefix}: incremental chain diverged from batch"
             );
         }
+        let decision = batch_oracle::group_detects(
+            &outcome.reports,
+            &rule,
+            params.k(),
+            params.m_periods(),
+        );
         assert_eq!(
             det.detected(),
-            group_detects(&outcome.reports, &rule, params.k(), params.m_periods()),
+            decision,
             "trial {trial}: detection decision diverged"
+        );
+        assert_eq!(
+            group_detects(&outcome.reports, &rule, params.k(), params.m_periods()),
+            decision,
+            "trial {trial}: the simulator's filter diverged from the batch DP"
         );
         // Streaming first event == the simulator's first-detection period.
         let mut replay = stream_detector(&params);
@@ -148,4 +168,69 @@ fn streaming_replay_reproduces_simulator_over_full_csv_scenario() {
         rows += 1;
     }
     assert_eq!(rows, m, "CSV must cover every period");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The simulator's filter — one uncapped detector pass — makes the
+    /// batch DP's decision on arbitrary report sets, bounded or wrapped.
+    #[test]
+    fn group_detects_equals_the_batch_oracle(
+        xs in proptest::collection::vec(
+            (0.0f64..32_000.0, 0.0f64..32_000.0, 1usize..25), 0..60),
+        k in 1usize..6,
+        m in 1usize..12,
+        wrap in 0u8..2,
+    ) {
+        let mut rule = TrackRule::new(10.0, 60.0, 1000.0);
+        if wrap == 1 {
+            rule = rule.with_wrap(32_000.0, 32_000.0);
+        }
+        // Unsorted input: the filter must sort exactly as the batch DP does.
+        let reports: Vec<DetectionReport> = xs
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y, p))| {
+                DetectionReport::new(SensorId(i), p, Point::new(x, y), ReportKind::FalseAlarm)
+            })
+            .collect();
+        prop_assert_eq!(
+            group_detects(&reports, &rule, k, m),
+            batch_oracle::group_detects(&reports, &rule, k, m)
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// More reports live in one window than `DEFAULT_MAX_TRACKS`: a track
+    /// whose first report precedes over 4096 clutter reports of the same
+    /// period must still be found, so a replay built with the default cap
+    /// (which evicts that first report) would fail here.
+    #[test]
+    fn group_detects_equals_the_batch_oracle_beyond_the_default_track_cap(
+        extra in 1usize..400,
+        k in 2usize..6,
+        heading in 0.0f64..std::f64::consts::TAU,
+    ) {
+        let rule = TrackRule::new(10.0, 60.0, 1000.0);
+        let step = Vector::from_heading(heading) * 600.0;
+        let track = |p: usize| {
+            let at = Point::new(16_000.0, 16_000.0) + step * p as f64;
+            DetectionReport::new(SensorId(p), p, at, ReportKind::TrueDetection)
+        };
+        let mut reports = vec![track(1)];
+        // Clutter 10 km apart on a far-away line: no two clutter reports,
+        // and no clutter report and the track, are compatible.
+        reports.extend((0..DEFAULT_MAX_TRACKS + extra).map(|i| {
+            let at = Point::new(100_000.0 + 10_000.0 * i as f64, 100_000.0);
+            DetectionReport::new(SensorId(1_000 + i), 1, at, ReportKind::FalseAlarm)
+        }));
+        reports.extend((2..=k).map(track));
+        let decision = batch_oracle::group_detects(&reports, &rule, k, k);
+        prop_assert!(decision, "the track must be detectable for the case to mean anything");
+        prop_assert_eq!(group_detects(&reports, &rule, k, k), decision);
+    }
 }

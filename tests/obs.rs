@@ -176,12 +176,5 @@ proptest! {
             parsed.get("schema_version").and_then(Json::as_u64),
             Some(gbd_serve::METRICS_SCHEMA_VERSION)
         );
-        // Deprecated alias payloads survive the same round trip.
-        for legacy in [snapshot.render_stats(7), snapshot.render_store(8)] {
-            let line = legacy.render();
-            let back = Json::parse(&line).expect("legacy payload parses");
-            prop_assert_eq!(back.render(), line);
-            prop_assert_eq!(back.get("deprecated").and_then(Json::as_bool), Some(true));
-        }
     }
 }

@@ -178,9 +178,9 @@ fn eight_clients_match_direct_evaluate_batch_bit_for_bit() {
 
     // Server-side acceptance counters: mean batch size > 1, zero shed.
     let mut control = Client::connect(addr);
-    control.send(r#"{"id":0,"verb":"stats"}"#);
+    control.send(r#"{"id":0,"verb":"metrics","sections":["server"]}"#);
     let stats = control.recv();
-    let stats = stats.get("stats").unwrap();
+    let stats = stats.get("metrics").and_then(|m| m.get("server")).unwrap();
     let factor = stats
         .get("coalescing_factor")
         .and_then(Json::as_f64)
@@ -240,7 +240,7 @@ fn queue_overflow_sheds_with_structured_errors_and_keeps_serving() {
     }
     // The server keeps serving while 18 requests sit shed and 2 sit
     // queued: a second connection gets an immediate pong and sees the
-    // shed count in stats.
+    // shed count in the metrics server section.
     let mut probe = Client::connect(server.addr);
     probe.send(r#"{"id":1,"verb":"ping"}"#);
     assert_eq!(probe.recv().get("pong").and_then(Json::as_bool), Some(true));
@@ -248,10 +248,11 @@ fn queue_overflow_sheds_with_structured_errors_and_keeps_serving() {
     // the shed count converges rather than asserting on the first scrape.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     let shed = loop {
-        probe.send(r#"{"id":2,"verb":"stats"}"#);
+        probe.send(r#"{"id":2,"verb":"metrics","sections":["server"]}"#);
         let shed = probe
             .recv()
-            .get("stats")
+            .get("metrics")
+            .and_then(|m| m.get("server"))
             .and_then(|s| s.get("shed"))
             .and_then(Json::as_u64);
         if shed == Some(18) || std::time::Instant::now() >= deadline {
@@ -482,11 +483,11 @@ fn shutdown_verb_drains_and_stops_the_server() {
 }
 
 // ---------------------------------------------------------------------------
-// Observability: metrics verb, deprecated aliases, watch, exposition
+// Observability: metrics verb, retired aliases, watch, exposition
 // ---------------------------------------------------------------------------
 
 #[test]
-fn metrics_verb_selects_sections_and_aliases_stay_byte_compatible() {
+fn metrics_verb_selects_sections_and_retired_aliases_are_rejected() {
     let server = start(
         ServeConfig {
             flush_interval: Duration::from_millis(1),
@@ -550,48 +551,18 @@ fn metrics_verb_selects_sections_and_aliases_stay_byte_compatible() {
     let bad = client.recv();
     assert_eq!(error_code(&bad), Some("bad_request"));
 
-    // The deprecated `stats` alias answers the pre-redesign payload key
-    // for key, with only the top-level `deprecated` flag added.
-    client.send(r#"{"id":5,"verb":"stats"}"#);
-    let stats = client.recv();
-    assert_eq!(stats.get("deprecated").and_then(Json::as_bool), Some(true));
-    let legacy = stats.get("stats").unwrap();
-    let keys: Vec<&str> = match legacy {
-        Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
-        other => panic!("stats body is not an object: {other:?}"),
-    };
+    // The retired `stats`/`store` aliases are unknown verbs now: the
+    // connection answers with a structured error and keeps serving.
+    for (id, verb) in [(5, "stats"), (6, "store")] {
+        client.send(&format!(r#"{{"id":{id},"verb":"{verb}"}}"#));
+        let retired = client.recv();
+        assert_eq!(error_code(&retired), Some("bad_request"), "{verb}");
+        assert_eq!(retired.get("id").and_then(Json::as_u64), Some(id));
+    }
+    client.send(r#"{"id":7,"verb":"ping"}"#);
     assert_eq!(
-        keys,
-        [
-            "queue_depth",
-            "connections_total",
-            "connections_active",
-            "admitted",
-            "evaluated",
-            "shed",
-            "rejected",
-            "batches_flushed",
-            "flushes_by_size",
-            "flushes_by_timer",
-            "coalescing_factor",
-            "cache",
-            "latency_us",
-            "queue_wait_us",
-            "compute_us",
-        ]
-    );
-    assert_eq!(legacy.get("evaluated").and_then(Json::as_u64), Some(1));
-
-    // Same for the deprecated `store` alias (no store attached here).
-    client.send(r#"{"id":6,"verb":"store"}"#);
-    let store = client.recv();
-    assert_eq!(store.get("deprecated").and_then(Json::as_bool), Some(true));
-    assert_eq!(
-        store
-            .get("store")
-            .and_then(|s| s.get("attached"))
-            .and_then(Json::as_bool),
-        Some(false)
+        client.recv().get("pong").and_then(Json::as_bool),
+        Some(true)
     );
     server.stop();
 }

@@ -145,13 +145,17 @@ fn sweep_over_tcp(addr: SocketAddr) -> Vec<WireRow> {
         .collect()
 }
 
-/// Reads the `store` verb from a running server.
+/// Reads the `metrics` verb's `store` section from a running server.
 fn store_status(addr: SocketAddr) -> Json {
     let mut client = Client::connect(addr);
-    client.send(r#"{"id":0,"verb":"store"}"#);
+    client.send(r#"{"id":0,"verb":"metrics","sections":["store"]}"#);
     let response = client.recv();
     assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
-    response.get("store").expect("store object").clone()
+    response
+        .get("metrics")
+        .and_then(|m| m.get("store"))
+        .expect("store section")
+        .clone()
 }
 
 fn store_field(status: &Json, key: &str) -> u64 {
@@ -215,7 +219,7 @@ fn serve_drain_restart_rerun_is_bit_identical_with_zero_recomputed_stages() {
 }
 
 #[test]
-fn store_verb_reports_detached_when_engine_runs_memory_only() {
+fn store_section_reports_detached_when_engine_runs_memory_only() {
     let server = start(Engine::new());
     let status = store_status(server.addr);
     assert_eq!(status.get("attached").and_then(Json::as_bool), Some(false));
