@@ -109,30 +109,11 @@ impl SensorField {
     }
 
     /// Clears the field, refills its position buffer through `fill`, and
-    /// reindexes every sensor. All internal buffers are reused, so a
-    /// long-lived field rebuilds without heap allocation once warm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the extent has zero area or a filled position lies
-    /// outside it.
-    pub fn rebuild_with(
-        &mut self,
-        extent: Aabb,
-        boundary: BoundaryPolicy,
-        fill: impl FnOnce(&mut Vec<Point>),
-    ) {
-        self.extent = extent;
-        self.boundary = boundary;
-        self.positions.clear();
-        fill(&mut self.positions);
-        self.reindex(None);
-    }
-
-    /// Like [`SensorField::rebuild_with`], but `fill` additionally returns
-    /// a *focus* box (plus an arbitrary carry value handed back to the
-    /// caller), and only the sensors able to answer queries inside the
-    /// focus are indexed.
+    /// reindexes it around the *focus* box `fill` returns (plus an
+    /// arbitrary carry value handed back to the caller): only the sensors
+    /// able to answer queries inside the focus are indexed. All internal
+    /// buffers are reused, so a long-lived field rebuilds without heap
+    /// allocation once warm.
     ///
     /// The filter keeps every sensor lying in any boundary-policy translate
     /// image of the focus box (clipped to the extent), so a query whose
@@ -949,11 +930,12 @@ mod tests {
     #[test]
     fn rebuild_reuses_a_warm_field() {
         let mut f = small_field(BoundaryPolicy::Torus);
-        f.rebuild_with(
+        f.rebuild_focused(
             Aabb::from_extent(50.0, 50.0),
             BoundaryPolicy::Bounded,
             |buf| {
                 buf.push(Point::new(25.0, 25.0));
+                (Aabb::from_extent(50.0, 50.0), ())
             },
         );
         assert_eq!(f.len(), 1);

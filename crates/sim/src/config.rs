@@ -42,26 +42,6 @@ pub enum MotionSpec {
     },
 }
 
-/// How per-sensor-period false alarms are drawn.
-///
-/// Both samplers target the same Bernoulli(`false_alarm_rate`) process per
-/// sensor-period; they differ in cost and in how they consume the RNG
-/// stream, so switching samplers changes individual trial outcomes (but
-/// not the distribution — a statistical equivalence test pins this).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FalseAlarmSampler {
-    /// One coin per sensor-period: the paper-faithful scan. Default, and
-    /// the sampler every recorded experiment uses.
-    #[default]
-    Bernoulli,
-    /// Geometric skip-ahead: draws the gap to the next firing sensor-period
-    /// directly, so cost scales with the number of alarms instead of
-    /// `N × M`. Opt-in — it consumes the RNG stream differently, so
-    /// per-trial outcomes are not bit-comparable with
-    /// [`FalseAlarmSampler::Bernoulli`].
-    GeometricSkip,
-}
-
 /// Full configuration of a simulation campaign.
 ///
 /// Defaults mirror the paper's §4 setup: straight-line target, no false
@@ -80,11 +60,8 @@ pub struct SimConfig {
     pub boundary: BoundaryPolicy,
     /// Target mobility model.
     pub motion: MotionSpec,
-    /// Node-level false-alarm probability per sensor per period.
+    /// Node-level false-alarm probability per awake sensor per period.
     pub false_alarm_rate: f64,
-    /// How false alarms are sampled (per-coin Bernoulli scan by default;
-    /// geometric skip-ahead as an opt-in for large `N × M` campaigns).
-    pub false_alarm_sampler: FalseAlarmSampler,
     /// Sensor placement strategy.
     pub deployment: DeploymentSpec,
     /// Probability that a sensor is awake in a given period (duty-cycled
@@ -108,7 +85,6 @@ impl SimConfig {
             boundary: BoundaryPolicy::Torus,
             motion: MotionSpec::Straight,
             false_alarm_rate: 0.0,
-            false_alarm_sampler: FalseAlarmSampler::Bernoulli,
             deployment: DeploymentSpec::UniformRandom,
             awake_probability: 1.0,
             threads: 0,
@@ -206,14 +182,6 @@ impl SimConfig {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Sets the false-alarm sampler. [`FalseAlarmSampler::GeometricSkip`]
-    /// draws the same distribution from a different RNG stream layout, so
-    /// per-trial outcomes stop being bit-comparable with the default.
-    pub fn with_false_alarm_sampler(mut self, sampler: FalseAlarmSampler) -> Self {
-        self.false_alarm_sampler = sampler;
-        self
-    }
-
     /// Sets the deployment strategy.
     pub fn with_deployment(mut self, deployment: DeploymentSpec) -> Self {
         self.deployment = deployment;
@@ -253,15 +221,6 @@ mod tests {
         assert_eq!(c.false_alarm_rate, 0.0);
         assert_eq!(c.deployment, DeploymentSpec::UniformRandom);
         assert_eq!(c.awake_probability, 1.0);
-        assert_eq!(c.false_alarm_sampler, FalseAlarmSampler::Bernoulli);
-        assert_eq!(FalseAlarmSampler::default(), FalseAlarmSampler::Bernoulli);
-    }
-
-    #[test]
-    fn sampler_builder_sets_the_field() {
-        let c = SimConfig::new(SystemParams::paper_defaults())
-            .with_false_alarm_sampler(FalseAlarmSampler::GeometricSkip);
-        assert_eq!(c.false_alarm_sampler, FalseAlarmSampler::GeometricSkip);
     }
 
     #[test]

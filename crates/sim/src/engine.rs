@@ -7,7 +7,7 @@
 //! locations of all sensor nodes" — each covered sensor then reports with
 //! probability `Pd`.
 
-use crate::config::{DeploymentSpec, FalseAlarmSampler, MotionSpec, SimConfig};
+use crate::config::{DeploymentSpec, MotionSpec, SimConfig};
 use crate::reports::{DetectionReport, ReportKind};
 use gbd_field::deployment::{Deployer, JitteredGrid, UniformRandom};
 use gbd_field::field::{BoundaryPolicy, SensorField};
@@ -124,14 +124,7 @@ pub fn run_trial_in(
     // consumes no randomness, so focusing cannot shift the RNG stream.
     let rng_ref = &mut rng;
     let trajectory = field.rebuild_focused(extent, config.boundary, move |buf| {
-        match config.deployment {
-            DeploymentSpec::UniformRandom => {
-                UniformRandom.deploy_into(params.n_sensors(), &extent, rng_ref, buf)
-            }
-            DeploymentSpec::Grid { jitter } => {
-                JitteredGrid::new(jitter).deploy_into(params.n_sensors(), &extent, rng_ref, buf)
-            }
-        }
+        deploy_sensors(config, &extent, rng_ref, buf);
         let start = Point::new(
             rng_ref.gen_range(extent.min.x..extent.max.x),
             rng_ref.gen_range(extent.min.y..extent.max.y),
@@ -192,17 +185,14 @@ pub fn run_trial_in(
     // Optional noise: node-level false alarms, independent per
     // sensor-period. A dead node cannot misfire either, but report drops
     // do not apply (dropping noise is indistinguishable from less noise).
-    let mut false_reports = 0;
-    if config.false_alarm_rate > 0.0 {
-        false_reports = inject_false_alarms(
-            field,
-            params.m_periods(),
-            config.false_alarm_rate,
-            config.false_alarm_sampler,
-            &mut rng,
-            &mut reports,
-            faults.as_ref().map(|plan| (plan, trial_index)),
-        );
+    let false_reports = inject_false_alarms(
+        config,
+        trial_index,
+        field.positions(),
+        &mut rng,
+        &mut reports,
+    );
+    if false_reports > 0 {
         reports.sort_by_key(|r| r.period);
     }
 
@@ -212,6 +202,24 @@ pub fn run_trial_in(
         false_reports,
         dropped_reports,
         trajectory,
+    }
+}
+
+/// Appends the configured deployment's `N` sensor positions to `out`: the
+/// one place a [`DeploymentSpec`] becomes positions, shared by target and
+/// no-target trials.
+pub(crate) fn deploy_sensors(
+    config: &SimConfig,
+    extent: &Aabb,
+    rng: &mut Rng,
+    out: &mut Vec<Point>,
+) {
+    let n = config.params.n_sensors();
+    match config.deployment {
+        DeploymentSpec::UniformRandom => UniformRandom.deploy_into(n, extent, rng, out),
+        DeploymentSpec::Grid { jitter } => {
+            JitteredGrid::new(jitter).deploy_into(n, extent, rng, out)
+        }
     }
 }
 
@@ -242,65 +250,30 @@ fn generate_trajectory(
     }
 }
 
-/// Adds false alarms for the `N × M` sensor-period grid; returns how many
-/// were injected. The randomness is drawn before the fault check (keeping
-/// the RNG stream fault-invariant), and a dead node's misfires are
-/// suppressed.
+/// Adds a trial's node-level false alarms for sensors at `positions` and
+/// returns how many were injected.
+///
+/// Every sensor-period misfires independently with probability
+/// `false_alarm_rate × awake_probability` (a sleeping sensor cannot
+/// misfire), so a trial's count is `Binomial(N·M, rate)` — the window
+/// noise law of the §6 bound on `k`. The sampler walks the period-major
+/// `N × M` grid by geometric skip-ahead: the gap to the next firing slot
+/// is `floor(ln U / ln(1 − rate))`, so the cost is one draw per alarm,
+/// not one per slot. A zero rate draws nothing.
+///
+/// A dead node's misfires are suppressed after their slot is drawn, so
+/// the RNG stream is the same with and without a fault plan.
 pub(crate) fn inject_false_alarms(
-    field: &SensorField,
-    m_periods: usize,
-    rate: f64,
-    sampler: FalseAlarmSampler,
+    config: &SimConfig,
+    trial_index: u64,
+    positions: &[Point],
     rng: &mut Rng,
     reports: &mut Vec<DetectionReport>,
-    faults: Option<(&crate::faults::FaultPlan, u64)>,
 ) -> usize {
-    match sampler {
-        FalseAlarmSampler::Bernoulli => {
-            let mut injected = 0;
-            for period in 1..=m_periods {
-                for s in field.sensors() {
-                    if rng.gen_bool(rate) {
-                        if let Some((plan, trial)) = faults {
-                            if plan.node_failed(trial, s.id.0) {
-                                continue;
-                            }
-                        }
-                        reports.push(DetectionReport::new(
-                            s.id,
-                            period,
-                            s.pos,
-                            ReportKind::FalseAlarm,
-                        ));
-                        injected += 1;
-                    }
-                }
-            }
-            injected
-        }
-        FalseAlarmSampler::GeometricSkip => {
-            inject_false_alarms_geometric(field, m_periods, rate, rng, reports, faults)
-        }
-    }
-}
-
-/// Geometric skip-ahead sampling over the flattened period-major
-/// sensor-period grid: instead of one coin per slot, draw the gap to the
-/// next firing slot directly (`floor(ln(U) / ln(1 - rate))` is geometric
-/// with success probability `rate`), so cost is proportional to the number
-/// of alarms. Same firing distribution as the Bernoulli scan, different
-/// RNG stream layout.
-fn inject_false_alarms_geometric(
-    field: &SensorField,
-    m_periods: usize,
-    rate: f64,
-    rng: &mut Rng,
-    reports: &mut Vec<DetectionReport>,
-    faults: Option<(&crate::faults::FaultPlan, u64)>,
-) -> usize {
-    let n = field.len();
-    let total = m_periods as u64 * n as u64;
-    if total == 0 {
+    let rate = config.false_alarm_rate * config.awake_probability;
+    let n = positions.len() as u64;
+    let total = config.params.m_periods() as u64 * n;
+    if rate <= 0.0 || total == 0 {
         return 0;
     }
     // ln(1 - 1.0) = -inf makes every skip 0, so rate = 1 needs no special
@@ -318,17 +291,16 @@ fn inject_false_alarms_geometric(
             break;
         }
         idx += skip as u64;
-        let period = (idx / n as u64) as usize + 1;
-        let sensor = SensorId((idx % n as u64) as usize);
-        let alive = match faults {
-            Some((plan, trial)) => !plan.node_failed(trial, sensor.0),
-            None => true,
-        };
-        if alive {
+        let sensor = (idx % n) as usize;
+        let dead = config
+            .faults
+            .as_ref()
+            .is_some_and(|plan| plan.node_failed(trial_index, sensor));
+        if !dead {
             reports.push(DetectionReport::new(
-                sensor,
-                period,
-                field.sensor(sensor).pos,
+                SensorId(sensor),
+                (idx / n) as usize + 1,
+                positions[sensor],
                 ReportKind::FalseAlarm,
             ));
             injected += 1;
@@ -347,7 +319,8 @@ pub(crate) mod oracle_support {
     //! nested-`Vec` [`NestedGridField`] — the reference side of the
     //! engine's bit-identity tests. Every RNG draw, query, and report push
     //! happens in exactly the order the engine shipped with before the CSR
-    //! rewrite.
+    //! rewrite. False alarms come from the production sampler: the oracle
+    //! pins the field, not the sampler.
     use super::*;
     use gbd_field::oracle::NestedGridField;
 
@@ -404,26 +377,11 @@ pub(crate) mod oracle_support {
             }
         }
 
-        let mut false_reports = 0;
-        if config.false_alarm_rate > 0.0 {
-            for period in 1..=params.m_periods() {
-                for s in field.sensors() {
-                    if rng.gen_bool(config.false_alarm_rate) {
-                        if let Some(plan) = &faults {
-                            if plan.node_failed(trial_index, s.id.0) {
-                                continue;
-                            }
-                        }
-                        reports.push(DetectionReport::new(
-                            s.id,
-                            period,
-                            s.pos,
-                            ReportKind::FalseAlarm,
-                        ));
-                        false_reports += 1;
-                    }
-                }
-            }
+        // Noise: the one production sampler over the oracle's positions.
+        let positions: Vec<Point> = field.sensors().iter().map(|s| s.pos).collect();
+        let false_reports =
+            inject_false_alarms(config, trial_index, &positions, &mut rng, &mut reports);
+        if false_reports > 0 {
             reports.sort_by_key(|r| r.period);
         }
 
@@ -635,101 +593,52 @@ mod tests {
     }
 
     #[test]
-    fn geometric_skip_agrees_with_bernoulli_statistically() {
-        use gbd_field::field::{BoundaryPolicy, SensorField};
-        use gbd_stats::interval::wilson;
-        // Same Bernoulli(rate) firing distribution, different stream
-        // layout: compare the two samplers' injected-count proportions
-        // over seeded campaigns with 95% Wilson intervals.
-        let extent = Aabb::from_extent(100.0, 100.0);
-        let positions: Vec<Point> = (0..100)
-            .map(|i| Point::new((i % 10) as f64 * 10.0 + 5.0, (i / 10) as f64 * 10.0 + 5.0))
-            .collect();
-        let field = SensorField::new(extent, positions, BoundaryPolicy::Bounded);
-        let (m, rate, campaigns) = (20usize, 0.01f64, 400u64);
-        let slots = campaigns * (m as u64) * (field.len() as u64);
-        let mut fired = [0u64; 2];
-        for (si, sampler) in [
-            FalseAlarmSampler::Bernoulli,
-            FalseAlarmSampler::GeometricSkip,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let mut reports = Vec::new();
-            for c in 0..campaigns {
-                let mut rng = rng_stream(0xA1A3, c);
-                reports.clear();
-                fired[si] +=
-                    inject_false_alarms(&field, m, rate, sampler, &mut rng, &mut reports, None)
-                        as u64;
-            }
-        }
-        let bern = wilson(fired[0], slots, 1.96).unwrap();
-        let geom = wilson(fired[1], slots, 1.96).unwrap();
-        assert!(bern.contains(rate), "Bernoulli interval misses the rate");
-        assert!(geom.contains(rate), "geometric interval misses the rate");
-        assert!(
-            bern.lo <= geom.hi && geom.lo <= bern.hi,
-            "sampler intervals disagree: [{}, {}] vs [{}, {}]",
-            bern.lo,
-            bern.hi,
-            geom.lo,
-            geom.hi
-        );
-    }
-
-    #[test]
     fn geometric_skip_fires_every_slot_at_rate_one() {
-        use gbd_field::field::{BoundaryPolicy, SensorField};
-        let extent = Aabb::from_extent(10.0, 10.0);
-        let field = SensorField::new(
-            extent,
-            vec![Point::new(2.0, 2.0), Point::new(8.0, 8.0)],
-            BoundaryPolicy::Bounded,
-        );
+        let c = SimConfig::new(SystemParams::paper_defaults().with_m_periods(3))
+            .with_false_alarm_rate(1.0);
+        let positions = [Point::new(2.0, 2.0), Point::new(8.0, 8.0)];
         let mut rng = rng_stream(1, 0);
         let mut reports = Vec::new();
-        let injected = inject_false_alarms(
-            &field,
-            3,
-            1.0,
-            FalseAlarmSampler::GeometricSkip,
-            &mut rng,
-            &mut reports,
-            None,
-        );
+        let injected = inject_false_alarms(&c, 0, &positions, &mut rng, &mut reports);
         assert_eq!(injected, 6);
         // Period-major order over the flattened grid.
         let seen: Vec<(usize, usize)> =
             reports.iter().map(|r| (r.period, r.sensor.0)).collect();
         assert_eq!(seen, vec![(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)]);
+        assert!(reports.iter().all(|r| r.position == positions[r.sensor.0]));
     }
 
     #[test]
-    fn geometric_skip_respects_dead_nodes() {
-        use crate::faults::FaultPlan;
-        let clean = config()
+    fn sleeping_sensors_neither_detect_nor_misfire() {
+        let asleep = config()
             .with_seed(21)
             .with_false_alarm_rate(0.05)
-            .with_false_alarm_sampler(FalseAlarmSampler::GeometricSkip);
-        let faulted = clean
-            .clone()
-            .with_faults(FaultPlan::new(5).with_node_failure_rate(0.5));
-        let a = run_trial(&clean, 4);
-        let b = run_trial(&faulted, 4);
-        assert!(
-            b.false_reports < a.false_reports,
-            "{} vs {}",
-            b.false_reports,
-            a.false_reports
-        );
-        let false_ids: Vec<_> = b
-            .reports
-            .iter()
-            .filter(|r| !r.is_true_detection())
-            .collect();
-        assert!(false_ids.iter().all(|r| a.reports.contains(r)));
+            .with_awake_probability(0.0);
+        let out = run_trial(&asleep, 4);
+        assert_eq!((out.true_reports, out.false_reports), (0, 0));
+        assert!(out.reports.is_empty());
+        let quiet = crate::false_alarm::run_no_target(&asleep);
+        assert_eq!(quiet.mean_false_reports, 0.0, "{quiet:?}");
+    }
+
+    #[test]
+    fn a_zero_rate_draws_nothing() {
+        // Rate 0, or every sensor asleep: the stream after the pass is the
+        // stream before it.
+        let positions = [Point::new(1.0, 1.0)];
+        for c in [
+            config(),
+            config()
+                .with_false_alarm_rate(0.05)
+                .with_awake_probability(0.0),
+        ] {
+            let mut rng = rng_stream(3, 0);
+            assert_eq!(
+                inject_false_alarms(&c, 4, &positions, &mut rng, &mut Vec::new()),
+                0
+            );
+            assert_eq!(rng.gen::<u64>(), rng_stream(3, 0).gen::<u64>());
+        }
     }
 }
 

@@ -4,13 +4,15 @@
 //! them in "only increases the probability of the real target being
 //! detected", and (§1) that group based detection filters system-level
 //! false alarms because noise rarely lines up along a feasible track.
-//! These runners make both claims measurable.
+//! These runners make both claims measurable. Target-present and
+//! no-target trials deploy through the same code and draw their noise
+//! from the engine's one false-alarm sampler (geometric skip-ahead over
+//! the `N × M` sensor-period grid, at `false_alarm_rate ×
+//! awake_probability` per slot).
 
 use crate::config::SimConfig;
-use crate::engine::{inject_false_alarms, run_trial_in, TrialScratch};
+use crate::engine::{deploy_sensors, inject_false_alarms, run_trial_in, TrialScratch};
 use crate::group_filter::{group_detects, TrackRule};
-use gbd_field::deployment::{Deployer, UniformRandom};
-use gbd_field::field::SensorField;
 use gbd_geometry::point::Aabb;
 use gbd_stats::interval::{wilson, ProportionInterval};
 use gbd_stats::rng::rng_stream;
@@ -89,7 +91,10 @@ pub struct NoTargetResult {
 
 /// Runs trials with **no target**: all reports are noise. Compares the
 /// naive count-based rule with the track filter — the measured version of
-/// the paper's motivation for group based detection.
+/// the paper's motivation for group based detection. Each trial deploys
+/// `config.deployment` through the same code as a target-present trial,
+/// then draws its noise; with no target there are no sensing queries, so
+/// no spatial index is built.
 pub fn run_no_target(config: &SimConfig) -> NoTargetResult {
     let params = &config.params;
     let rule = track_rule(config);
@@ -97,26 +102,14 @@ pub fn run_no_target(config: &SimConfig) -> NoTargetResult {
     let mut naive_alarms = 0;
     let mut filtered_alarms = 0;
     let mut total_false = 0u64;
-    let mut field = SensorField::new(extent, Vec::new(), config.boundary);
+    let mut positions = Vec::new();
     let mut reports = Vec::new();
     for trial in 0..config.trials {
         let mut rng = rng_stream(config.seed, trial);
-        {
-            let rng = &mut rng;
-            field.rebuild_with(extent, config.boundary, |buf| {
-                UniformRandom.deploy_into(params.n_sensors(), &extent, rng, buf);
-            });
-        }
+        positions.clear();
+        deploy_sensors(config, &extent, &mut rng, &mut positions);
         reports.clear();
-        let injected = inject_false_alarms(
-            &field,
-            params.m_periods(),
-            config.false_alarm_rate,
-            config.false_alarm_sampler,
-            &mut rng,
-            &mut reports,
-            config.faults.as_ref().map(|plan| (plan, trial)),
-        );
+        let injected = inject_false_alarms(config, trial, &positions, &mut rng, &mut reports);
         total_false += injected as u64;
         if injected >= params.k() {
             naive_alarms += 1;
@@ -179,29 +172,26 @@ mod tests {
     }
 
     #[test]
-    fn geometric_sampler_matches_bernoulli_no_target_means() {
-        use crate::config::FalseAlarmSampler;
-        // Different RNG stream layouts, same distribution: the mean
-        // injected count per trial must agree closely over a campaign.
-        let base = SimConfig::new(SystemParams::paper_defaults())
-            .with_trials(200)
-            .with_seed(17)
-            .with_false_alarm_rate(0.002);
-        let bern = run_no_target(&base);
-        let geom = run_no_target(
-            &base
-                .clone()
-                .with_false_alarm_sampler(FalseAlarmSampler::GeometricSkip),
-        );
-        // Expected mean 240 * 20 * 0.002 = 9.6 with a per-trial sd of
-        // ~3.1; over 200 trials the two means differ by ~0.3 (1 sigma).
-        assert!((bern.mean_false_reports - 9.6).abs() < 1.0, "{bern:?}");
-        assert!(
-            (bern.mean_false_reports - geom.mean_false_reports).abs() < 1.0,
-            "{} vs {}",
-            bern.mean_false_reports,
-            geom.mean_false_reports
-        );
+    fn no_target_trials_deploy_the_configured_layout() {
+        use crate::config::DeploymentSpec;
+        // One period and k = 2: an alarm needs two misfiring sensors whose
+        // same-period reach (V·t + 2·Rs = 2.6 km) overlaps. A perfect 8 × 8
+        // grid on 32 km has a 4 km pitch, so it can never alarm; uniform
+        // placement leaves close pairs in most trials.
+        let base = SimConfig::new(
+            SystemParams::paper_defaults()
+                .with_n_sensors(64)
+                .with_m_periods(1)
+                .with_k(2),
+        )
+        .with_trials(50)
+        .with_seed(3)
+        .with_false_alarm_rate(0.2);
+        let uniform = run_no_target(&base);
+        let grid = run_no_target(&base.with_deployment(DeploymentSpec::Grid { jitter: 0.0 }));
+        assert!(uniform.filtered_alarms > 10, "{uniform:?}");
+        assert_eq!(grid.filtered_alarms, 0, "{grid:?}");
+        assert!(grid.mean_false_reports > 5.0, "{grid:?}");
     }
 
     #[test]

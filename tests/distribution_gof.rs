@@ -7,6 +7,7 @@ use gbd_core::exact;
 use gbd_core::params::SystemParams;
 use gbd_sim::config::SimConfig;
 use gbd_sim::engine::run_trial;
+use gbd_stats::binomial::Binomial;
 use gbd_stats::chisq::chi_square_gof;
 
 const TRIALS: u64 = 6_000;
@@ -99,4 +100,54 @@ fn random_walk_histogram_close_but_distinguishable_at_scale() {
     );
     // …but statistically distinguishable.
     assert!(test.p_value < 0.05, "walk indistinguishable? {test:?}");
+}
+
+#[test]
+fn false_alarms_follow_the_exact_binomial_law() {
+    // The §6 bound on k treats a window's noise as one Binomial(N·M, pf)
+    // draw. A sleeping sensor cannot misfire, so at awake probability a
+    // the law is Binomial(N·M, pf·a). With pd = 0 every report is a false
+    // alarm. The count alone cannot see a wrong slot → (period, sensor)
+    // mapping, so the alarms' periods and sensor ids must also be uniform.
+    let params = SystemParams::paper_defaults().with_pd(0.0);
+    let (n, m) = (params.n_sensors(), params.m_periods());
+    let rate = 0.002;
+    let cap = 40;
+    for (awake, seed) in [(1.0, 31u64), (0.5, 32)] {
+        let config = SimConfig::new(params)
+            .with_trials(TRIALS)
+            .with_seed(seed)
+            .with_false_alarm_rate(rate)
+            .with_awake_probability(awake);
+        let mut counts = vec![0u64; cap + 1];
+        let mut periods = vec![0u64; m];
+        let mut sensors = vec![0u64; n];
+        for trial in 0..TRIALS {
+            let out = run_trial(&config, trial);
+            assert_eq!(out.true_reports, 0);
+            counts[out.false_reports.min(cap)] += 1;
+            for r in &out.reports {
+                periods[r.period - 1] += 1;
+                sensors[r.sensor.0] += 1;
+            }
+        }
+        let law = Binomial::new((n * m) as u64, rate * awake).expect("valid law");
+        // The last bin holds every count >= cap.
+        let mut count_probs: Vec<f64> = (0..cap as u64).map(|c| law.pmf(c)).collect();
+        count_probs.push(law.sf(cap as u64 - 1));
+        for (what, observed, probs) in [
+            ("count", &counts, count_probs),
+            ("period", &periods, vec![1.0 / m as f64; m]),
+            ("sensor", &sensors, vec![1.0 / n as f64; n]),
+        ] {
+            let test = chi_square_gof(observed, &probs, 5.0).expect("valid gof inputs");
+            assert!(
+                test.p_value > 0.001,
+                "awake {awake}, {what}: chi2={:.1} dof={} p={:.5}",
+                test.statistic,
+                test.dof,
+                test.p_value
+            );
+        }
+    }
 }

@@ -404,20 +404,27 @@ fn truncation_at_every_byte_of_the_final_frame_recovers_the_prefix() {
 
 #[test]
 fn engine_refuses_a_store_written_under_a_different_identity_tag() {
-    let path = temp_store("foreign.gbdstore");
-    {
-        let foreign = gbd_store::Store::open(&path, b"some-other-codec-v9")
-            .expect("create foreign store");
-        foreign.append(1, b"key", b"value").expect("append");
-        foreign.sync().expect("sync");
+    // A foreign codec, and the engine's own previous tag: v1 stores hold
+    // simulation results whose false alarms came from the retired
+    // per-coin sampler, so serving them would break warm ≡ cold.
+    for tag in [&b"some-other-codec-v9"[..], b"gbd-engine-cache-v1"] {
+        let path = temp_store("foreign.gbdstore");
+        {
+            let foreign = gbd_store::Store::open(&path, tag).expect("create foreign store");
+            foreign.append(1, b"key", b"value").expect("append");
+            foreign.sync().expect("sync");
+        }
+        let err = match Engine::new().with_store(&path) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!(
+                "engine opened a store tagged {}",
+                String::from_utf8_lossy(tag)
+            ),
+        };
+        assert!(
+            err.contains("identity"),
+            "error should name the identity mismatch: {err}"
+        );
+        std::fs::remove_file(&path).expect("cleanup");
     }
-    let err = match Engine::new().with_store(&path) {
-        Err(e) => e.to_string(),
-        Ok(_) => panic!("engine opened a store with a foreign identity tag"),
-    };
-    assert!(
-        err.contains("identity"),
-        "error should name the identity mismatch: {err}"
-    );
-    std::fs::remove_file(&path).expect("cleanup");
 }
