@@ -890,7 +890,11 @@ impl ServeCmd {
             "int",
             "flush a coalesced batch at this many requests (32)",
         ),
-        Flag::value("--flush-us", "µs", "coalescer flush interval (500)"),
+        Flag::value(
+            "--flush-us",
+            "µs",
+            "coalescer flush interval; 0 flushes as soon as the flusher is free (0)",
+        ),
         Flag::value(
             "--queue-depth",
             "int",
@@ -1775,7 +1779,7 @@ mod tests {
         let cmd = ServeCmd::parse(&[]).unwrap();
         assert_eq!(cmd.addr, "127.0.0.1:7171");
         assert_eq!(cmd.batch_max, 32);
-        assert_eq!(cmd.flush_us, 500);
+        assert_eq!(cmd.flush_us, 0);
         assert_eq!(cmd.queue_depth, 1024);
         assert_eq!(cmd.conn_limit, 0);
         assert_eq!(cmd.cache_cap, 1 << 16);
@@ -1815,6 +1819,26 @@ mod tests {
         let config = cmd.config();
         assert_eq!(config.flush_interval, Duration::from_micros(250));
         assert!(config.handle_signals);
+    }
+
+    #[test]
+    fn serve_help_defaults_match_the_code() {
+        let defaults = ServeCmd::default();
+        for (name, value) in [
+            ("--batch-max", defaults.batch_max.to_string()),
+            ("--flush-us", defaults.flush_us.to_string()),
+            ("--queue-depth", defaults.queue_depth.to_string()),
+            ("--max-inflight", defaults.max_inflight.to_string()),
+            ("--conn-limit", defaults.conn_limit.to_string()),
+            ("--max-line-bytes", defaults.max_line_bytes.to_string()),
+        ] {
+            let flag = ServeCmd::FLAGS.iter().find(|f| f.name == name).unwrap();
+            let shown = flag
+                .help
+                .rsplit_once('(')
+                .and_then(|(_, tail)| tail.strip_suffix(')'));
+            assert_eq!(shown, Some(value.as_str()), "{name}: {}", flag.help);
+        }
     }
 
     #[test]

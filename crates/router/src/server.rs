@@ -4,7 +4,7 @@
 
 use crate::ring::Ring;
 use crate::slots::{Route, RouterCounters, Slot};
-use crate::upstream::{probe, UpstreamPool};
+use crate::upstream::{probe, write_line, UpstreamPool};
 use gbd_engine::{BackendSpec, Engine, EvalRequest};
 use gbd_serve::protocol::{self, ErrorCode, Verb};
 use gbd_serve::{Json, METRICS_SCHEMA_VERSION};
@@ -461,9 +461,7 @@ fn tunnel_stream(
         RouterCounters::bump(&shared.counters.forwarded);
         match connect_tunnel(&addr, config.upstream_timeout) {
             Ok(mut stream) => {
-                if stream.write_all(open_line.as_bytes()).is_err()
-                    || stream.write_all(b"\n").is_err()
-                {
+                if write_line(&mut stream, open_line).is_err() {
                     // Nothing session-stateful happened upstream yet (the
                     // open line never arrived), so retrying is safe.
                     let failed = slot.record_failure(
@@ -500,8 +498,7 @@ fn tunnel_stream(
             &format!("slot {slot_index} has no reachable shard; safe to retry"),
         );
         let mut client = client;
-        let _ = client.write_all(err.render().as_bytes());
-        let _ = client.write_all(b"\n");
+        let _ = write_line(&mut client, &err.render());
         return;
     };
     // Shard → client relays on a helper thread; this thread relays

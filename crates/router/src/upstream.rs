@@ -12,6 +12,17 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+/// Writes `line` and its newline in one `write_all`. On an unbuffered
+/// `TCP_NODELAY` socket, two writes would cost two syscalls and two
+/// segments, and the peer's reader would wake for a line with no newline
+/// yet.
+pub(crate) fn write_line(stream: &mut impl Write, line: &str) -> io::Result<()> {
+    let mut frame = Vec::with_capacity(line.len() + 1);
+    frame.extend_from_slice(line.as_bytes());
+    frame.push(b'\n');
+    stream.write_all(&frame)
+}
+
 /// A connected upstream with a buffered read half.
 #[derive(Debug)]
 pub struct Upstream {
@@ -44,9 +55,7 @@ impl Upstream {
     /// back as `UnexpectedEof` so the caller treats it like any other
     /// transport failure.
     pub fn round_trip(&mut self, line: &str) -> io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        write_line(&mut self.writer, line)?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {
@@ -108,4 +117,35 @@ impl UpstreamPool {
 /// reusing a cached connection would mask a shard that stopped accepting.
 pub fn probe(addr: &str, line: &str, timeout: Duration) -> io::Result<String> {
     Upstream::connect(addr, timeout)?.round_trip(line)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use std::net::TcpListener;
+    use std::thread;
+
+    #[test]
+    fn round_trip_sends_the_line_and_its_newline_in_one_write() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let shard = thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            // One raw read, already blocked when the request arrives: it
+            // wakes on the first segment, so it sees only what the first
+            // write carried.
+            let mut buf = [0u8; 256];
+            let n = conn.read(&mut buf).unwrap();
+            conn.write_all(b"{\"id\":1,\"ok\":true}\n").unwrap();
+            buf[..n].to_vec()
+        });
+        let mut upstream = Upstream::connect(&addr, Duration::from_secs(10)).unwrap();
+        thread::sleep(Duration::from_millis(50));
+        let line = r#"{"id":1,"verb":"ping"}"#;
+        let reply = upstream.round_trip(line).unwrap();
+        assert_eq!(reply, r#"{"id":1,"ok":true}"#);
+        let first_read = shard.join().unwrap();
+        assert_eq!(String::from_utf8(first_read).unwrap(), format!("{line}\n"));
+    }
 }

@@ -4,10 +4,13 @@
 //!
 //! A flush happens when the queue reaches the batch-size threshold
 //! (`batch_max`) or when the oldest queued request has waited
-//! `flush_interval` — whichever comes first. Coalescing turns many
+//! `flush_interval` — whichever comes first. The default interval is
+//! zero: the flusher hands whatever is queued to the engine as soon as it
+//! is free, so batches form from what queues while the previous flush
+//! runs and no request waits on a timer. Coalescing turns many
 //! single-request callers into engine batches, so the worker pool and the
-//! warm caches amortize across connections, at a bounded latency cost of
-//! at most one flush interval.
+//! warm caches amortize across connections. A nonzero interval buys
+//! larger batches at low load for up to one interval of added latency.
 //!
 //! Admission control is the queue bound: when `queue_depth` requests are
 //! already waiting, new submissions are shed immediately with
@@ -32,7 +35,8 @@ use std::time::{Duration, Instant};
 pub struct CoalescerConfig {
     /// Flush as soon as this many requests are queued (min 1).
     pub batch_max: usize,
-    /// Flush when the oldest queued request has waited this long.
+    /// Flush when the oldest queued request has waited this long; zero
+    /// flushes as soon as the flusher is free.
     pub flush_interval: Duration,
     /// Admission bound: submissions beyond this many queued requests are
     /// shed (min 1).
@@ -43,7 +47,7 @@ impl Default for CoalescerConfig {
     fn default() -> Self {
         CoalescerConfig {
             batch_max: 32,
-            flush_interval: Duration::from_micros(500),
+            flush_interval: Duration::ZERO,
             queue_depth: 1024,
         }
     }
@@ -305,7 +309,7 @@ fn drain_inline(shared: &Shared) {
 mod tests {
     use super::*;
     use gbd_core::params::SystemParams;
-    use gbd_engine::BackendSpec;
+    use gbd_engine::{BackendSpec, SimulationSpec};
 
     fn request(n: usize) -> EvalRequest {
         EvalRequest::new(
@@ -386,6 +390,44 @@ mod tests {
         for rx in kept {
             assert!(rx.recv_timeout(Duration::from_secs(30)).is_ok());
         }
+    }
+
+    #[test]
+    fn default_config_batches_what_queues_during_a_flush() {
+        let (coalescer, metrics) = start(CoalescerConfig::default());
+        let slow = EvalRequest::new(
+            SystemParams::paper_defaults(),
+            BackendSpec::Simulation(SimulationSpec {
+                trials: 2_000,
+                threads: 1,
+                ..SimulationSpec::default()
+            }),
+        );
+        let mut receivers = vec![(0, coalescer.submit(0, slow).unwrap())];
+        // The flusher counts a batch before evaluating it: from here on it
+        // is busy with the slow request, so what arrives next queues.
+        let started = Instant::now();
+        while metrics.batches_flushed.get() < 1 {
+            assert!(started.elapsed() < Duration::from_secs(30));
+            std::thread::yield_now();
+        }
+        for i in 1..=8 {
+            receivers.push((i, coalescer.submit(i, request(100 + i as usize)).unwrap()));
+        }
+        assert!(
+            receivers[0].1.try_recv().is_err(),
+            "the slow request finished before the fast ones queued"
+        );
+        for (id, rx) in receivers {
+            let response = rx.recv_timeout(Duration::from_secs(60)).unwrap();
+            assert_eq!(response.get("id").and_then(Json::as_u64), Some(id));
+            assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
+        }
+        // With no timer to wait out, the eight fast requests still ride one
+        // batch: the one that formed while the slow flush ran.
+        assert_eq!(metrics.batches_flushed.get(), 2);
+        assert_eq!(metrics.evaluated.get(), 9);
+        coalescer.shutdown();
     }
 
     #[test]

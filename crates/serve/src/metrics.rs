@@ -55,13 +55,16 @@ pub struct ServerMetrics {
     pub batches_flushed: Arc<Counter>,
     /// Flushes triggered by reaching the batch-size threshold.
     pub flushes_by_size: Arc<Counter>,
-    /// Flushes triggered by the flush-interval timer (or drain).
+    /// Flushes of fewer than `batch_max` requests: the flush interval
+    /// elapsed (at the default interval of zero, every such flush) or the
+    /// queue drained for shutdown.
     pub flushes_by_timer: Arc<Counter>,
     /// End-to-end latency (admission to response ready) of eval requests.
     pub latency: Arc<Histogram>,
     /// Queue-wait component: admission to the batch flush that carried the
-    /// request. Dominated by the flush interval under light load and by
-    /// backlog under heavy load.
+    /// request. Under light load it is the rest of the flush in progress
+    /// (plus the flush interval, when one is set); under heavy load it is
+    /// backlog.
     pub queue_wait: Arc<Histogram>,
     /// Compute component: batch flush to that request's response being
     /// ready. `latency ≈ queue_wait + compute` per request.
@@ -367,7 +370,7 @@ pub struct MetricsSnapshot {
     pub batches_flushed: u64,
     /// Flushes triggered by batch size.
     pub flushes_by_size: u64,
-    /// Flushes triggered by the timer (or drain).
+    /// Flushes of fewer than `batch_max` requests (interval or drain).
     pub flushes_by_timer: u64,
     /// Mean requests per flushed batch.
     pub coalescing_factor: f64,

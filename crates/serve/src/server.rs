@@ -31,7 +31,7 @@ pub struct ServeConfig {
     /// Coalescer: flush when this many requests are queued.
     pub batch_max: usize,
     /// Coalescer: flush when the oldest queued request has waited this
-    /// long.
+    /// long; zero flushes as soon as the flusher is free.
     pub flush_interval: Duration,
     /// Admission bound: queued requests beyond this are shed with an
     /// `overloaded` error.
@@ -70,11 +70,12 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
+        let coalescer = CoalescerConfig::default();
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            batch_max: 32,
-            flush_interval: Duration::from_micros(500),
-            queue_depth: 1024,
+            batch_max: coalescer.batch_max,
+            flush_interval: coalescer.flush_interval,
+            queue_depth: coalescer.queue_depth,
             max_inflight_per_conn: 64,
             max_requests_per_conn: 0,
             max_line_bytes: 1 << 20,
