@@ -1,30 +1,39 @@
 //! Per-connection protocol handling: a reader thread that parses and
-//! dispatches request lines, paired with a writer thread that emits
-//! responses in submission order.
+//! dispatches request lines and writes the replies it can, paired with a
+//! writer thread for the replies that must wait.
 //!
-//! The writer consumes a bounded queue of [`WriteItem`]s. An item is
-//! either ready to write or a rendezvous receiver for an eval response
-//! still in flight; blocking on each receiver *in submission order* gives
-//! pipelined clients in-order responses without reordering buffers. The
-//! queue bound doubles as the per-connection in-flight limit: a reader
-//! that gets too far ahead blocks pushing the next item, which in turn
-//! stops reading from the socket — natural TCP backpressure.
+//! Replies leave in submission order. The reader owns a [`ReplySink`]: a
+//! ready line (control reply, error, session ack, detection event) is
+//! rendered into the reader's own buffer when the writer thread has
+//! finished every item queued before it, and queued behind them
+//! otherwise. Replies that must wait — an eval response still in the
+//! coalescer, a `watch` stream — always go to the writer, which blocks on
+//! each *in submission order*, so pipelined clients get in-order responses
+//! without reordering buffers. The sink is flushed once per request line,
+//! so a report burst's ack and its detection events leave in one write.
+//!
+//! The writer queue is bounded by `max_inflight_per_conn`: a reader that
+//! gets too far ahead of the writer blocks pushing the next item, which
+//! stops reading from the socket — natural TCP backpressure. A client that
+//! stops reading its replies blocks the reader in its own socket write the
+//! same way.
 
 use crate::coalescer::SubmitError;
 use crate::json::Json;
 use crate::metrics::render_window;
 use crate::protocol::{self, ErrorCode, Verb};
 use crate::server::ServerShared;
-use crate::stream_session::{self, SessionFlow, StreamSession};
+use crate::stream_session::{self, StreamSession};
 use gbd_obs::{CancelToken, Counter, WatchMsg};
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
 
 /// One unit of writer work, queued in submission order.
-pub(crate) enum WriteItem {
-    /// A response that is already rendered (errors, ping, metrics).
+enum WriteItem {
+    /// A ready reply, queued because the writer still owed earlier items.
     Ready(Json),
     /// An eval response still being computed; the writer blocks on the
     /// receiver, preserving order.
@@ -41,34 +50,90 @@ pub(crate) enum WriteItem {
         /// finished ones.
         token: CancelToken,
     },
-    /// A detection session: one `stream_open` ack, then every line the
-    /// reader pushes (report acks, detection events, control replies)
-    /// until the reader drops the channel on `stream_close` or teardown.
-    Session {
-        /// The rendered `stream_open` acknowledgement.
-        ack: Json,
-        rx: Receiver<Json>,
-    },
+}
+
+/// The connection takes no more replies: a socket write failed or the
+/// writer thread exited. The reader stops.
+pub(crate) struct Closed;
+
+/// The reader's end of the connection's output.
+pub(crate) struct ReplySink {
+    /// The reader's own buffer over a clone of the socket.
+    out: BufWriter<TcpStream>,
+    queue: SyncSender<WriteItem>,
+    /// Items pushed onto `queue`.
+    queued: u64,
+    /// Items the writer has written and flushed; equal to `queued` when
+    /// the writer is idle.
+    finished: Arc<AtomicU64>,
+    write_errors: Arc<Counter>,
+}
+
+impl ReplySink {
+    /// Sends one ready reply line, in order with everything sent before.
+    pub(crate) fn reply(&mut self, line: Json) -> Result<(), Closed> {
+        self.send(WriteItem::Ready(line))
+    }
+
+    fn send(&mut self, item: WriteItem) -> Result<(), Closed> {
+        // Acquire pairs with the writer's Release bump: the bytes of every
+        // item counted are on the socket before this thread writes.
+        if let WriteItem::Ready(line) = &item {
+            if self.finished.load(Ordering::Acquire) == self.queued {
+                return buffer_line(&mut self.out, line).map_err(|_| self.failed());
+            }
+        }
+        // What the reader buffered goes out ahead of the queued item.
+        self.flush()?;
+        self.queue.send(item).map_err(|_| Closed)?;
+        self.queued += 1;
+        Ok(())
+    }
+
+    /// Writes out what the reader has buffered: once per request line, so
+    /// all of a line's replies leave in one write.
+    pub(crate) fn flush(&mut self) -> Result<(), Closed> {
+        self.out.flush().map_err(|_| self.failed())
+    }
+
+    /// Counts a failed write into `server_write_errors` before the reader
+    /// drops the connection (a silent drop left no trace).
+    fn failed(&self) -> Closed {
+        self.write_errors.inc();
+        Closed
+    }
 }
 
 /// Serves one accepted connection until EOF, an I/O error, or server
 /// shutdown closes the socket. Never panics the server: all protocol
 /// errors are answered in-band.
 pub(crate) fn handle(stream: TcpStream, shared: &Arc<ServerShared>) {
-    let Ok(write_half) = stream.try_clone() else {
+    let (Ok(write_half), Ok(reply_half)) = (stream.try_clone(), stream.try_clone()) else {
         return;
     };
     let inflight = shared.config.max_inflight_per_conn.max(1);
     let (tx, rx) = mpsc::sync_channel::<WriteItem>(inflight);
+    let finished = Arc::new(AtomicU64::new(0));
     let write_errors = Arc::clone(&shared.metrics.write_errors);
-    let writer = std::thread::Builder::new()
-        .name("gbd-conn-writer".to_string())
-        .spawn(move || writer_loop(write_half, &rx, &write_errors));
+    let writer = {
+        let finished = Arc::clone(&finished);
+        let write_errors = Arc::clone(&write_errors);
+        std::thread::Builder::new()
+            .name("gbd-conn-writer".to_string())
+            .spawn(move || writer_loop(write_half, &rx, &finished, &write_errors))
+    };
     let Ok(writer) = writer else {
         return;
     };
+    let mut sink = ReplySink {
+        out: BufWriter::new(reply_half),
+        queue: tx,
+        queued: 0,
+        finished,
+        write_errors,
+    };
     let mut watch_tokens = Vec::new();
-    reader_loop(stream, shared, &tx, &mut watch_tokens);
+    reader_loop(stream, shared, &mut sink, &mut watch_tokens);
     // The connection is going away: cancel its watch subscriptions so the
     // registry stops broadcasting to them, and reap so their senders drop
     // (which unblocks a writer still streaming an unbounded watch).
@@ -78,13 +143,19 @@ pub(crate) fn handle(stream: TcpStream, shared: &Arc<ServerShared>) {
         }
         shared.metrics.registry().reap_cancelled();
     }
-    // Dropping the sender lets the writer finish the queued tail (including
-    // in-flight eval responses) and exit.
-    drop(tx);
+    // Dropping the sink closes the queue (its buffer was flushed after the
+    // last line): the writer finishes the queued tail, including in-flight
+    // eval responses, and exits.
+    drop(sink);
     let _ = writer.join();
 }
 
-fn writer_loop(stream: TcpStream, rx: &Receiver<WriteItem>, write_errors: &Counter) {
+fn writer_loop(
+    stream: TcpStream,
+    rx: &Receiver<WriteItem>,
+    finished: &AtomicU64,
+    write_errors: &Counter,
+) {
     let mut out = BufWriter::new(stream);
     while let Ok(item) = rx.recv() {
         let delivered = match item {
@@ -113,33 +184,26 @@ fn writer_loop(stream: TcpStream, rx: &Receiver<WriteItem>, write_errors: &Count
                 token.cancel();
                 delivered
             }
-            WriteItem::Session { ack, rx } => {
-                // Relay the session: the reader ends it by dropping its
-                // sender (after queueing the final `stream_close` ack). A
-                // write failure drops `rx`, which the reader observes as a
-                // failed send and treats as a dead connection.
-                let mut delivered = write_line(&mut out, &ack, write_errors);
-                while delivered {
-                    let Ok(line) = rx.recv() else {
-                        break;
-                    };
-                    delivered = write_line(&mut out, &line, write_errors);
-                }
-                delivered
-            }
         };
         if !delivered {
             return;
         }
+        // Release pairs with the reader's Acquire load in `ReplySink::send`.
+        finished.fetch_add(1, Ordering::Release);
     }
+}
+
+/// Renders one response line into `out`'s buffer.
+fn buffer_line(out: &mut BufWriter<TcpStream>, response: &Json) -> std::io::Result<()> {
+    let mut line = response.render();
+    line.push('\n');
+    out.write_all(line.as_bytes())
 }
 
 /// Writes one response line, counting a failure into `server_write_errors`
 /// before the caller drops the connection (a silent drop left no trace).
 fn write_line(out: &mut BufWriter<TcpStream>, response: &Json, write_errors: &Counter) -> bool {
-    let mut line = response.render();
-    line.push('\n');
-    let delivered = out.write_all(line.as_bytes()).is_ok() && out.flush().is_ok();
+    let delivered = buffer_line(out, response).is_ok() && out.flush().is_ok();
     if !delivered {
         write_errors.inc();
     }
@@ -194,18 +258,22 @@ fn stream_windows(
 fn reader_loop(
     stream: TcpStream,
     shared: &Arc<ServerShared>,
-    tx: &SyncSender<WriteItem>,
+    sink: &mut ReplySink,
     watch_tokens: &mut Vec<CancelToken>,
 ) {
     let mut reader = BufReader::new(stream);
     let limit = shared.config.max_line_bytes.max(1);
     let mut evals_served: u64 = 0;
     // At most one streaming detection session per connection, owned here
-    // by the reader; while it is open, responses flow through its channel
-    // (see `stream_session` for the ordering invariant).
+    // by the reader (see `stream_session` for the in-session verb rules).
     let mut session: Option<StreamSession> = None;
     // Reads until EOF or a dead socket (incl. the shutdown path closing it).
-    while let Ok(Some(line)) = read_line_bounded(&mut reader, limit) {
+    // Each pass first flushes the previous line's replies, so they leave in
+    // one write before the reader blocks on the next line.
+    while sink.flush().is_ok() {
+        let Ok(Some(line)) = read_line_bounded(&mut reader, limit) else {
+            break;
+        };
         if line.truncated {
             shared.metrics.rejected.inc();
             let err = protocol::error_response(
@@ -213,7 +281,7 @@ fn reader_loop(
                 ErrorCode::LineTooLong,
                 &format!("request line exceeds {limit} bytes"),
             );
-            if send_flat(&err, &session, tx).is_err() {
+            if sink.reply(err).is_err() {
                 break;
             }
             continue;
@@ -222,7 +290,7 @@ fn reader_loop(
             shared.metrics.rejected.inc();
             let err =
                 protocol::error_response(None, ErrorCode::BadRequest, "request is not UTF-8");
-            if send_flat(&err, &session, tx).is_err() {
+            if sink.reply(err).is_err() {
                 break;
             }
             continue;
@@ -239,36 +307,40 @@ fn reader_loop(
                     wire_error.code,
                     &wire_error.message,
                 );
-                if send_flat(&err, &session, tx).is_err() {
+                if sink.reply(err).is_err() {
                     break;
                 }
                 continue;
             }
         };
-        if session.is_some() {
-            match stream_session::handle_in_session(
+        let sent = if session.is_some() {
+            stream_session::handle_in_session(
                 envelope.id,
                 envelope.verb,
                 &mut session,
                 shared,
+                sink,
                 watch_tokens,
-            ) {
-                SessionFlow::Continue => continue,
-                SessionFlow::Dead => break,
+            )
+        } else {
+            match envelope.verb {
+                Verb::StreamOpen(spec) => {
+                    shared.metrics.record_verb("stream_open");
+                    let (opened, ack) =
+                        StreamSession::open(envelope.id, &spec, &shared.metrics);
+                    session = Some(opened);
+                    sink.reply(ack)
+                }
+                verb => sink.send(dispatch(
+                    envelope.id,
+                    verb,
+                    shared,
+                    &mut evals_served,
+                    watch_tokens,
+                )),
             }
-        }
-        let item = match envelope.verb {
-            Verb::StreamOpen(spec) => {
-                shared.metrics.record_verb("stream_open");
-                let inflight = shared.config.max_inflight_per_conn.max(1);
-                let (opened, item) =
-                    StreamSession::open(envelope.id, &spec, inflight, &shared.metrics);
-                session = Some(opened);
-                item
-            }
-            verb => dispatch(envelope.id, verb, shared, &mut evals_served, watch_tokens),
         };
-        if tx.send(item).is_err() {
+        if sent.is_err() {
             break;
         }
     }
@@ -280,25 +352,10 @@ fn reader_loop(
     }
 }
 
-/// Routes a response line generated outside `dispatch` (transport-level
-/// errors) to wherever this connection currently writes: the session
-/// channel while a session is open, the writer queue otherwise. `Err`
-/// means the writer is gone and the reader should stop.
-fn send_flat(
-    response: &Json,
-    session: &Option<StreamSession>,
-    tx: &SyncSender<WriteItem>,
-) -> Result<(), ()> {
-    match session {
-        Some(open) => open.push(response.clone()),
-        None => tx.send(WriteItem::Ready(response.clone())).map_err(|_| ()),
-    }
-}
-
 /// Answers the control verbs that behave the same with or without an open
 /// stream session — `ping`, `metrics`, `unwatch` and `shutdown` — and
-/// returns `None` for every other verb. Each caller routes the reply to
-/// its own sink: the writer queue, or the session channel.
+/// returns `None` for every other verb. Both callers, with and without a
+/// session, send the reply through the connection's [`ReplySink`].
 pub(crate) fn control_reply(
     id: u64,
     verb: &Verb,

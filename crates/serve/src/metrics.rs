@@ -100,7 +100,7 @@ pub struct ServerMetrics {
     pub stream_open_sessions: Arc<AtomicU64>,
     /// Live DP entries across all open sessions (gauge).
     pub stream_tracks_live: Arc<AtomicU64>,
-    /// Report ingestion → detection-event emission latency.
+    /// Report receipt → detection event written to the socket.
     pub stream_event_latency: Arc<Histogram>,
     verbs: Vec<(&'static str, Arc<Counter>)>,
     backends: Vec<(&'static str, Arc<Histogram>)>,

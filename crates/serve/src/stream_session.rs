@@ -1,26 +1,29 @@
 //! Stateful streaming detection sessions over the JSON-lines transport.
 //!
 //! A `stream_open` turns the connection into a detection session: the
-//! reader thread owns a [`StreamDetector`] and a bounded channel into the
-//! writer, which queues a [`WriteItem::Session`] and then relays every
-//! line the reader pushes — report acks, detection events, and control
-//! replies — until the reader drops the channel (on `stream_close` or
-//! connection teardown).
+//! reader thread owns a [`StreamDetector`] and answers every verb through
+//! the connection's [`ReplySink`] — report acks, detection events and
+//! control replies. Once the writer thread has finished whatever the
+//! connection queued before the session opened, the reader writes these
+//! lines itself, and a report burst's ack and its events leave in one
+//! write.
 //!
-//! **Ordering invariant:** while a session is open, *every* response on
-//! the connection flows through the session channel. The writer is
-//! parked on the session item, so a [`WriteItem::Ready`] queued behind it
-//! would never be written — and the reader, blocked pushing it, would
-//! deadlock the connection. Control verbs (`ping`, `metrics`, `unwatch`,
-//! `shutdown`, …) are answered through the session; verbs that would
-//! enqueue their own writer items (`eval`, `watch`, a second
-//! `stream_open`) are rejected until the session closes.
+//! **In-session verb rules.** Control verbs (`ping`, `metrics`, `unwatch`,
+//! `shutdown`) are answered in order with the session's lines. `eval` and
+//! `watch` are rejected until the session closes: they are the verbs the
+//! writer thread must wait on (an eval for the coalescer and engine, a
+//! watch until its last window or `unwatch`), and every report ack and
+//! detection event after them would wait behind that work instead of
+//! leaving as soon as its burst is ingested. A second `stream_open` is
+//! rejected because a connection holds one detector, and its events carry
+//! the one `stream_open` id.
 //!
-//! Backpressure works the same way it does for eval traffic: the session
-//! channel is bounded, so a client that stops draining events blocks the
-//! reader, which stops reading reports off the socket.
+//! Backpressure is the socket's: a client that stops reading blocks the
+//! reader in its socket write (or, while the writer still owes earlier
+//! replies, on the writer queue bounded by `--max-inflight`), and the
+//! reader stops reading reports.
 
-use crate::conn::{control_reply, WriteItem};
+use crate::conn::{control_reply, Closed, ReplySink};
 use crate::json::Json;
 use crate::metrics::ServerMetrics;
 use crate::protocol::{self, ErrorCode, StreamOpenSpec, Verb};
@@ -31,24 +34,12 @@ use gbd_stream::{
     DEFAULT_MAX_TRACKS,
 };
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// What the reader loop should do after a verb was handled in-session.
-pub(crate) enum SessionFlow {
-    /// Handled (response lines pushed through the session channel); keep
-    /// reading.
-    Continue,
-    /// The session channel's consumer is gone (writer exited on a dead
-    /// socket): drop the connection.
-    Dead,
-}
 
 /// One open streaming session, owned by the connection's reader thread.
 pub(crate) struct StreamSession {
     detector: StreamDetector,
-    tx: SyncSender<Json>,
     /// The `stream_open` id — detection events are tagged with it so a
     /// pipelining client can tell pushed events from report acks.
     open_id: u64,
@@ -60,14 +51,13 @@ pub(crate) struct StreamSession {
 
 impl StreamSession {
     /// Opens a session: builds the detector from the spec and returns the
-    /// session plus the [`WriteItem::Session`] to queue. Also accounts the
-    /// open on `metrics`.
+    /// session plus its rendered `stream_open` ack. Also accounts the open
+    /// on `metrics`.
     pub(crate) fn open(
         id: u64,
         spec: &StreamOpenSpec,
-        inflight: usize,
         metrics: &ServerMetrics,
-    ) -> (StreamSession, WriteItem) {
+    ) -> (StreamSession, Json) {
         let p = &spec.params;
         let mut rule = TrackRule::new(p.speed(), p.period_s(), p.sensing_range());
         if spec.torus {
@@ -79,7 +69,6 @@ impl StreamSession {
             spec.max_tracks
         };
         let config = StreamConfig::new(rule, p.k(), p.m_periods()).with_max_tracks(max_tracks);
-        let (tx, rx) = mpsc::sync_channel::<Json>(inflight.max(1));
         metrics.stream_sessions_opened.inc();
         metrics.stream_open_sessions.fetch_add(1, Ordering::Relaxed);
         let ack = Json::obj(vec![
@@ -93,26 +82,12 @@ impl StreamSession {
         ]);
         let session = StreamSession {
             detector: StreamDetector::new(config),
-            tx,
             open_id: id,
             reports: 0,
             events: 0,
             published_tracks: 0,
         };
-        (session, WriteItem::Session { ack, rx })
-    }
-
-    fn send(&self, line: Json) -> SessionFlow {
-        if self.tx.send(line).is_err() {
-            return SessionFlow::Dead;
-        }
-        SessionFlow::Continue
-    }
-
-    /// Pushes a response generated outside the session verbs (transport
-    /// errors) through the session channel. `Err` means the writer died.
-    pub(crate) fn push(&self, line: Json) -> Result<(), ()> {
-        self.tx.send(line).map_err(|_| ())
+        (session, ack)
     }
 
     /// Folds the detector's live-track count into the cross-session gauge.
@@ -136,7 +111,8 @@ impl StreamSession {
         id: u64,
         reports: &[DetectionReport],
         metrics: &ServerMetrics,
-    ) -> SessionFlow {
+        sink: &mut ReplySink,
+    ) -> Result<(), Closed> {
         let received = Instant::now();
         let before = self.detector.stats();
         let events = self.detector.ingest(reports);
@@ -162,19 +138,18 @@ impl StreamSession {
             ("late".to_string(), Json::from(late)),
             ("events".to_string(), Json::from(events.len())),
         ]);
-        if let SessionFlow::Dead = self.send(ack) {
-            return SessionFlow::Dead;
-        }
+        sink.reply(ack)?;
         for event in &events {
-            let line = render_event(self.open_id, event);
-            if let SessionFlow::Dead = self.send(line) {
-                return SessionFlow::Dead;
-            }
-            // Report receipt → event handed to the writer; the wire adds
-            // only socket time on top.
-            metrics.stream_event_latency.record(received.elapsed());
+            sink.reply(render_event(self.open_id, event))?;
         }
-        SessionFlow::Continue
+        // The burst leaves in one write. Each event's latency ends when
+        // that write returns, where the socket takes over.
+        sink.flush()?;
+        let latency = received.elapsed();
+        for _ in &events {
+            metrics.stream_event_latency.record(latency);
+        }
+        Ok(())
     }
 
     /// Books the session out of the open-session and live-track gauges.
@@ -187,9 +162,13 @@ impl StreamSession {
         self.published_tracks = 0;
     }
 
-    /// Clean close: final ack through the session channel, then the
-    /// channel drops, ending the writer's session item.
-    fn close(mut self, id: u64, metrics: &ServerMetrics) -> SessionFlow {
+    /// Clean close: books the session out and sends the final ack.
+    fn close(
+        mut self,
+        id: u64,
+        metrics: &ServerMetrics,
+        sink: &mut ReplySink,
+    ) -> Result<(), Closed> {
         self.retire(metrics);
         metrics.stream_sessions_closed.inc();
         let ack = Json::obj(vec![
@@ -199,7 +178,7 @@ impl StreamSession {
             ("reports".to_string(), Json::from(self.reports)),
             ("events".to_string(), Json::from(self.events)),
         ]);
-        self.send(ack)
+        sink.reply(ack)
     }
 
     /// Teardown without a `stream_close` (disconnect or server drain):
@@ -227,39 +206,40 @@ fn render_event(open_id: u64, event: &DetectionEvent) -> Json {
     ])
 }
 
-/// Handles a verb on a connection whose session is open. Every response
-/// goes through the session channel (see the module docs for why).
+/// Handles a verb on a connection whose session is open (see the module
+/// docs for the in-session verb rules).
 pub(crate) fn handle_in_session(
     id: u64,
     verb: Verb,
     session_slot: &mut Option<StreamSession>,
     shared: &Arc<ServerShared>,
+    sink: &mut ReplySink,
     watch_tokens: &mut Vec<CancelToken>,
-) -> SessionFlow {
+) -> Result<(), Closed> {
     let Some(session) = session_slot.as_mut() else {
         // Callers only route here with an open session.
-        return SessionFlow::Continue;
+        return Ok(());
     };
     if let Some(reply) = control_reply(id, &verb, shared, watch_tokens) {
-        return session.send(reply);
+        return sink.reply(reply);
     }
     let metrics = &shared.metrics;
     match verb {
         Verb::Report { reports } => {
             metrics.record_verb("report");
-            session.ingest(id, &reports, metrics)
+            session.ingest(id, &reports, metrics, sink)
         }
         Verb::StreamClose => {
             metrics.record_verb("stream_close");
             match session_slot.take() {
-                Some(active) => active.close(id, metrics),
-                None => SessionFlow::Continue,
+                Some(active) => active.close(id, metrics, sink),
+                None => Ok(()),
             }
         }
         Verb::StreamOpen(_) => {
             metrics.record_verb("stream_open");
             metrics.rejected.inc();
-            session.send(protocol::error_response(
+            sink.reply(protocol::error_response(
                 Some(id),
                 ErrorCode::BadRequest,
                 "a stream session is already open on this connection",
@@ -268,7 +248,7 @@ pub(crate) fn handle_in_session(
         Verb::Eval(_) => {
             metrics.record_verb("eval");
             metrics.rejected.inc();
-            session.send(protocol::error_response(
+            sink.reply(protocol::error_response(
                 Some(id),
                 ErrorCode::BadRequest,
                 "eval is not available while a stream session is open; \
@@ -278,7 +258,7 @@ pub(crate) fn handle_in_session(
         Verb::Watch { .. } => {
             metrics.record_verb("watch");
             metrics.rejected.inc();
-            session.send(protocol::error_response(
+            sink.reply(protocol::error_response(
                 Some(id),
                 ErrorCode::BadRequest,
                 "watch is not available while a stream session is open; \
@@ -286,8 +266,6 @@ pub(crate) fn handle_in_session(
             ))
         }
         // Answered by `control_reply` above.
-        Verb::Ping | Verb::Metrics { .. } | Verb::Unwatch | Verb::Shutdown => {
-            SessionFlow::Continue
-        }
+        Verb::Ping | Verb::Metrics { .. } | Verb::Unwatch | Verb::Shutdown => Ok(()),
     }
 }

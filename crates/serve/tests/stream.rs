@@ -1,16 +1,19 @@
 //! End-to-end streaming detection sessions against a live server: the
 //! wire protocol round trip, the in-session verb rules, the metrics
-//! accounting, and drain/disconnect teardown.
+//! accounting, drain/disconnect teardown, one write per report burst, and
+//! reply order behind eval and watch work queued before the session.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use gbd_core::params::SystemParams;
 use gbd_engine::Engine;
+use gbd_field::sensor::SensorId;
+use gbd_geometry::point::Point;
 use gbd_serve::{Json, ServeConfig, Server, ServerHandle};
 use gbd_sim::config::SimConfig;
 use gbd_sim::engine::run_trial;
-use gbd_stream::DetectionReport;
-use std::io::{BufRead, BufReader, Write};
+use gbd_stream::{DetectionReport, ReportKind};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -18,8 +21,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 fn boot() -> (String, ServerHandle, JoinHandle<std::io::Result<()>>) {
-    let server =
-        Server::bind(ServeConfig::default(), Arc::new(Engine::new())).expect("bind server");
+    boot_with(ServeConfig::default())
+}
+
+fn boot_with(config: ServeConfig) -> (String, ServerHandle, JoinHandle<std::io::Result<()>>) {
+    let server = Server::bind(config, Arc::new(Engine::new())).expect("bind server");
     let addr = server.local_addr().to_string();
     let handle = server.handle();
     let thread = std::thread::spawn(move || server.run());
@@ -106,6 +112,22 @@ fn report_line(id: u64, reports: &[DetectionReport]) -> String {
 
 const OPEN_LINE: &str =
     r#"{"id":1,"verb":"stream_open","params":{"n":240,"m":10,"k":3},"boundary":"torus"}"#;
+
+/// Three reports from one position in periods `first..first + 3`: at
+/// k = 3 the third completes a group and fires an event.
+fn group_burst(id: u64, first: usize) -> String {
+    let reports: Vec<DetectionReport> = (first..first + 3)
+        .map(|period| {
+            DetectionReport::new(
+                SensorId(1),
+                period,
+                Point::new(500.0, 500.0),
+                ReportKind::TrueDetection,
+            )
+        })
+        .collect();
+    report_line(id, &reports)
+}
 
 #[test]
 fn session_round_trip_replays_the_simulator() {
@@ -266,4 +288,140 @@ fn disconnect_and_drain_both_account_open_sessions() {
     assert_eq!(metrics.stream_sessions_aborted.get(), 2);
     assert_eq!(metrics.stream_open_sessions.load(Ordering::Relaxed), 0);
     assert_eq!(metrics.stream_tracks_live.load(Ordering::Relaxed), 0);
+}
+
+/// Sends one line and answers with what a single raw `read` returns,
+/// split into lines: no client-side buffer joins writes the server made
+/// apart.
+fn one_read(stream: &mut TcpStream, line: &str) -> Vec<Json> {
+    stream
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("write");
+    let mut buf = vec![0u8; 1 << 16];
+    let n = stream.read(&mut buf).expect("read");
+    let text = std::str::from_utf8(&buf[..n]).expect("UTF-8");
+    assert!(text.ends_with('\n'), "one read ended mid-line: {text:?}");
+    text.lines()
+        .map(|l| Json::parse(l).expect("response is JSON"))
+        .collect()
+}
+
+#[test]
+fn a_burst_ack_and_its_events_leave_in_one_write() {
+    let (addr, handle, thread) = boot();
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    let open = one_read(&mut stream, OPEN_LINE);
+    assert_eq!(open[0].get("streaming").and_then(Json::as_bool), Some(true));
+    // Bursts start 20 periods apart, past the M = 10 window, so each one
+    // fires its own group.
+    for b in 0..20u64 {
+        let id = 100 + b;
+        let lines = one_read(&mut stream, &group_burst(id, 1 + 20 * b as usize));
+        let ack = &lines[0];
+        assert_eq!(u(ack, "id"), id);
+        let events = u(ack, "events");
+        assert!(events >= 1, "burst {b} fired no event: {}", ack.render());
+        assert_eq!(
+            lines.len() as u64,
+            1 + events,
+            "burst {b}: one read held {} of the ack and its {events} events",
+            lines.len()
+        );
+        for event in &lines[1..] {
+            assert_eq!(u(event, "id"), 1);
+            assert!(
+                event.get("event").is_some(),
+                "not an event: {}",
+                event.render()
+            );
+        }
+    }
+    handle.shutdown();
+    thread.join().expect("server thread").expect("server run");
+}
+
+#[test]
+fn session_replies_queue_behind_an_eval_held_in_the_coalescer() {
+    // A 100 ms flush interval holds the eval in the coalescer while the
+    // session opens, ingests and answers behind it.
+    let (addr, handle, thread) = boot_with(ServeConfig {
+        flush_interval: Duration::from_millis(100),
+        ..ServeConfig::default()
+    });
+    let mut conn = Conn::connect(&addr);
+    let pipeline = [
+        r#"{"id":10,"verb":"eval","params":{"n":120}}"#.to_string(),
+        OPEN_LINE.to_string(),
+        group_burst(11, 1),
+        r#"{"id":12,"verb":"ping"}"#.to_string(),
+        r#"{"id":13,"verb":"stream_close"}"#.to_string(),
+    ];
+    conn.writer
+        .write_all(format!("{}\n", pipeline.join("\n")).as_bytes())
+        .expect("write pipeline");
+    let mut replies = Vec::new();
+    for (id, key) in [
+        (10, "detection"),
+        (1, "streaming"),
+        (11, "ingested"),
+        (1, "event"),
+        (12, "pong"),
+        (13, "stream_end"),
+    ] {
+        let reply = conn.recv();
+        replies.push(reply.render());
+        assert!(
+            u(&reply, "id") == id && reply.get(key).is_some(),
+            "expected id {id} with `{key}`, got in order: {replies:#?}"
+        );
+    }
+    handle.shutdown();
+    thread.join().expect("server thread").expect("server run");
+}
+
+#[test]
+fn a_live_watch_ahead_of_the_session_ends_before_the_session_ack() {
+    let (addr, handle, thread) = boot();
+    let mut conn = Conn::connect(&addr);
+    conn.send(r#"{"id":20,"verb":"watch"}"#);
+    conn.send(OPEN_LINE);
+    conn.send(&group_burst(21, 1));
+    conn.send(r#"{"id":22,"verb":"unwatch"}"#);
+    let watching = conn.recv();
+    assert_eq!(u(&watching, "id"), 20);
+    assert_eq!(watching.get("watching").and_then(Json::as_bool), Some(true));
+    // Window lines may arrive until `unwatch` ends the stream.
+    loop {
+        let line = conn.recv();
+        assert_eq!(
+            u(&line, "id"),
+            20,
+            "the watch must end first: {}",
+            line.render()
+        );
+        if line.get("watch_end").is_some() {
+            break;
+        }
+    }
+    let open = conn.recv();
+    assert_eq!(open.get("streaming").and_then(Json::as_bool), Some(true));
+    let ack = conn.recv();
+    assert_eq!(u(&ack, "id"), 21);
+    for _ in 0..u(&ack, "events") {
+        let event = conn.recv();
+        assert_eq!(u(&event, "id"), 1);
+        assert!(
+            event.get("event").is_some(),
+            "not an event: {}",
+            event.render()
+        );
+    }
+    let unwatched = conn.recv();
+    assert_eq!(u(&unwatched, "id"), 22);
+    assert_eq!(u(&unwatched, "unwatched"), 1);
+    handle.shutdown();
+    thread.join().expect("server thread").expect("server run");
 }

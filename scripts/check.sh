@@ -547,7 +547,7 @@ if [ "$stream_smoke" -eq 1 ]; then
   #      with the server's `stream` metrics section (all sessions closed,
   #      none left open)
   #   3. open one more session, leave it open, and send the shutdown verb
-  #      through it: the drain must answer through the session channel,
+  #      through it: the drain must answer in order with the session,
   #      reap the still-open session (accounted as aborted, zero live
   #      tracks), and exit cleanly — no hang, no SIGKILL
   echo "==> stream smoke (loadgen --report-stream + drain with open session)"
@@ -583,8 +583,9 @@ with socket.create_connection((host, int(port)), timeout=10) as s:
     if json.loads(f.readline()).get("ingested") != 1:
         print("stream smoke: FAILED: report not ingested", file=sys.stderr)
         sys.exit(1)
-    # Shutdown with the session still open: the ack must arrive through
-    # the session channel, and the server must reap the session to drain.
+    # Shutdown with the session still open: the ack must arrive in order
+    # with the session's replies, and the server must reap the session to
+    # drain.
     s.sendall(b'{"id":3,"verb":"shutdown"}\n')
     ack = json.loads(f.readline())
     if ack.get("shutting_down") is not True:
