@@ -273,8 +273,8 @@ fn disconnect_and_drain_both_account_open_sessions() {
         "aborted session must return its tracks"
     );
 
-    // Session B: still open when the server drains; shutdown is answered
-    // through the session channel, then teardown aborts the session.
+    // Session B: still open when the server drains; the connection's
+    // reader writes the shutdown ack, then teardown aborts the session.
     let mut conn = Conn::connect(&addr);
     conn.send(OPEN_LINE);
     conn.recv();

@@ -68,7 +68,10 @@ pub struct SimConfig {
     /// sleep scheduling, cf. the paper's §5 related work; `1.0` = always
     /// on). A sleeping sensor neither detects nor misfires.
     pub awake_probability: f64,
-    /// Number of worker threads (0 = all available cores).
+    /// Number of worker threads (0 = all available cores) for every
+    /// campaign runner: [`crate::runner::run`],
+    /// [`crate::false_alarm::run_with_filter`] and
+    /// [`crate::false_alarm::run_no_target`].
     pub threads: usize,
     /// Deterministic fault injection (node failures, dropped reports);
     /// `None` (the default) simulates a fault-free network.

@@ -13,6 +13,7 @@
 use crate::config::SimConfig;
 use crate::engine::{deploy_sensors, inject_false_alarms, run_trial_in, TrialScratch};
 use crate::group_filter::{group_detects, TrackRule};
+use crate::runner::fan_out;
 use gbd_geometry::point::Aabb;
 use gbd_stats::interval::{wilson, ProportionInterval};
 use gbd_stats::rng::rng_stream;
@@ -45,7 +46,8 @@ pub struct FilteredSimResult {
 }
 
 /// Runs target-present trials with false alarms injected and the track
-/// filter applied, sequentially (use modest trial counts).
+/// filter applied, in parallel on [`SimConfig::threads`] workers. The
+/// result is a count, so it is the same at every thread count.
 ///
 /// Demonstrates the §2 claim: `detections_filtered >=
 /// detections_true_only`, because extra reports can only extend feasible
@@ -53,18 +55,20 @@ pub struct FilteredSimResult {
 pub fn run_with_filter(config: &SimConfig) -> FilteredSimResult {
     let params = &config.params;
     let rule = track_rule(config);
-    let mut detections_true_only = 0;
-    let mut detections_filtered = 0;
-    let mut scratch = TrialScratch::new();
-    for trial in 0..config.trials {
-        let out = run_trial_in(config, trial, &mut scratch);
-        if out.detected(params.k()) {
-            detections_true_only += 1;
+    let (k, m) = (params.k(), params.m_periods());
+    let per_trial = fan_out(config, || {
+        let mut scratch = TrialScratch::new();
+        move |trial| {
+            let out = run_trial_in(config, trial, &mut scratch);
+            (out.detected(k), group_detects(&out.reports, &rule, k, m))
         }
-        if group_detects(&out.reports, &rule, params.k(), params.m_periods()) {
-            detections_filtered += 1;
-        }
-    }
+    });
+    let detections_true_only = per_trial
+        .iter()
+        .filter(|&&(true_only, _)| true_only)
+        .count() as u64;
+    let detections_filtered =
+        per_trial.iter().filter(|&&(_, filtered)| filtered).count() as u64;
     FilteredSimResult {
         trials: config.trials,
         detections_true_only,
@@ -98,26 +102,27 @@ pub struct NoTargetResult {
 pub fn run_no_target(config: &SimConfig) -> NoTargetResult {
     let params = &config.params;
     let rule = track_rule(config);
+    let (k, m) = (params.k(), params.m_periods());
     let extent = Aabb::from_extent(params.field_width(), params.field_height());
-    let mut naive_alarms = 0;
-    let mut filtered_alarms = 0;
-    let mut total_false = 0u64;
-    let mut positions = Vec::new();
-    let mut reports = Vec::new();
-    for trial in 0..config.trials {
-        let mut rng = rng_stream(config.seed, trial);
-        positions.clear();
-        deploy_sensors(config, &extent, &mut rng, &mut positions);
-        reports.clear();
-        let injected = inject_false_alarms(config, trial, &positions, &mut rng, &mut reports);
-        total_false += injected as u64;
-        if injected >= params.k() {
-            naive_alarms += 1;
+    let per_trial = fan_out(config, || {
+        let mut positions = Vec::new();
+        let mut reports = Vec::new();
+        move |trial| {
+            let mut rng = rng_stream(config.seed, trial);
+            positions.clear();
+            deploy_sensors(config, &extent, &mut rng, &mut positions);
+            reports.clear();
+            let injected =
+                inject_false_alarms(config, trial, &positions, &mut rng, &mut reports);
+            (injected, group_detects(&reports, &rule, k, m))
         }
-        if group_detects(&reports, &rule, params.k(), params.m_periods()) {
-            filtered_alarms += 1;
-        }
-    }
+    });
+    let naive_alarms = per_trial
+        .iter()
+        .filter(|&&(injected, _)| injected >= k)
+        .count() as u64;
+    let filtered_alarms = per_trial.iter().filter(|&&(_, filtered)| filtered).count() as u64;
+    let total_false: u64 = per_trial.iter().map(|&(injected, _)| injected as u64).sum();
     NoTargetResult {
         trials: config.trials,
         naive_alarms,
@@ -192,6 +197,43 @@ mod tests {
         assert!(uniform.filtered_alarms > 10, "{uniform:?}");
         assert_eq!(grid.filtered_alarms, 0, "{grid:?}");
         assert!(grid.mean_false_reports > 5.0, "{grid:?}");
+    }
+
+    #[test]
+    fn filtered_and_no_target_results_do_not_depend_on_the_thread_count() {
+        // Noise at N = 120 and rate 0.002: some trials detect (or alarm)
+        // and some do not, so a lost, repeated or misattributed trial
+        // would move a count. Repeated runs at 3 threads race differently
+        // over the shared trial counter.
+        let mut filtered_alarms = 0;
+        for k in [3, 4, 6] {
+            let base =
+                SimConfig::new(SystemParams::paper_defaults().with_n_sensors(120).with_k(k))
+                    .with_trials(150)
+                    .with_seed(23)
+                    .with_false_alarm_rate(0.002);
+            let filtered = run_with_filter(&base.clone().with_threads(1));
+            let quiet = run_no_target(&base.clone().with_threads(1));
+            let trials = base.trials;
+            assert!(
+                0 < filtered.detections_filtered && filtered.detections_filtered < trials,
+                "{filtered:?}"
+            );
+            assert!(
+                0 < quiet.naive_alarms && quiet.naive_alarms < trials,
+                "{quiet:?}"
+            );
+            filtered_alarms += quiet.filtered_alarms;
+            for threads in [1, 2, 3, 3, 3, 0] {
+                let cfg = base.clone().with_threads(threads);
+                let (f, q) = (run_with_filter(&cfg), run_no_target(&cfg));
+                assert_eq!(f, filtered, "k {k}, threads {threads}");
+                assert_eq!(format!("{f:?}"), format!("{filtered:?}"));
+                assert_eq!(q, quiet, "k {k}, threads {threads}");
+                assert_eq!(format!("{q:?}"), format!("{quiet:?}"));
+            }
+        }
+        assert!(filtered_alarms > 0, "no no-target trial alarmed");
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! * [`config::BoundaryPolicy`]-controlled border handling (torus matches
 //!   the analysis; bounded quantifies the border effect);
 //! * node-level false-alarm injection and the per-trial [`group_filter`]
-//!   decision, which replays each trial's reports through `gbd_stream`'s
-//!   velocity-feasibility detector — the concrete group-detection
-//!   algorithm the paper abstracts, shared with the streaming sessions;
+//!   decision, which steps each trial's reports through `gbd_stream`'s
+//!   velocity-feasibility detector up to the first detection — the
+//!   concrete group-detection algorithm the paper abstracts, shared with
+//!   the streaming sessions;
 //! * a communication-deadline check ([`comm_check`]) wired to the
 //!   `gbd-net` substrate;
 //! * constant-velocity [`tracking`] estimation from report positions, with

@@ -1,4 +1,11 @@
 //! Parallel trial execution.
+//!
+//! Every campaign runner — [`run`], and the false-alarm runners in
+//! [`crate::false_alarm`] — fans its trials out through one private
+//! work-stealing loop on [`SimConfig::threads`] workers, the calling thread
+//! among them. Trial `i` always draws the stream `(seed, i)`, and results
+//! come back in trial order, so no result depends on which worker ran
+//! which trial.
 
 use crate::config::SimConfig;
 use crate::engine::{run_trial_in, TrialOutcome, TrialScratch};
@@ -28,20 +35,68 @@ pub struct SimResult {
     pub dropped_report_counts: Summary,
 }
 
-/// Trial indices claimed per atomic fetch: large enough that the shared
-/// counter stays cold, small enough that a skewed tail of expensive trials
-/// still spreads across workers instead of idling all but one of them.
-const STEAL_BLOCK: u64 = 32;
-
 /// The per-trial facts the aggregation needs, detached from the heavy
 /// [`TrialOutcome`](crate::engine::TrialOutcome) (its report list and
 /// trajectory are dropped as soon as the trial finishes, so the
-/// work-stealing buffer stays a few dozen bytes per trial).
+/// per-trial buffer stays a few dozen bytes per trial).
 #[derive(Debug, Clone, Copy)]
 struct TrialCounts {
     true_reports: usize,
     false_reports: usize,
     dropped_reports: usize,
+}
+
+/// The worker count `config.threads` asks for (0 = all available cores).
+fn thread_count(config: &SimConfig) -> usize {
+    if config.threads == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        config.threads
+    }
+}
+
+/// Runs trials `0..config.trials` and returns their results in trial
+/// order. `make_worker` is called once per worker; the closure it returns
+/// runs every trial that worker claims, so it can own per-worker state.
+///
+/// Workers claim one trial index at a time from a shared counter, so a
+/// worker that lands on cheap trials keeps claiming and even a 50-trial
+/// campaign splits evenly; a trial costs microseconds (its deployment
+/// draws alone), so one relaxed increment per trial keeps the counter
+/// cold. The calling thread works too, and no more workers start than
+/// there are trials.
+pub(crate) fn fan_out<T, W, F>(config: &SimConfig, make_worker: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn() -> W + Sync,
+    W: FnMut(u64) -> T,
+{
+    let trials = config.trials;
+    let workers = (thread_count(config) as u64).min(trials).max(1);
+    let next = AtomicU64::new(0);
+    let work = || {
+        let mut worker = make_worker();
+        let mut mine = Vec::new();
+        loop {
+            let trial = next.fetch_add(1, Ordering::Relaxed);
+            if trial >= trials {
+                break mine;
+            }
+            mine.push((trial, worker(trial)));
+        }
+    };
+    let mut done: Vec<(u64, T)> = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for helper in helpers {
+            done.extend(helper.join().expect("trial worker panicked"));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(trial, _)| trial);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Runs `config.trials` independent trials, in parallel, and aggregates.
@@ -72,59 +127,20 @@ where
     F: Fn() -> W + Sync,
     W: FnMut(&SimConfig, u64) -> TrialOutcome,
 {
-    let threads = if config.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        config.threads
-    };
+    let threads = thread_count(config);
     let trials = config.trials;
     let k = config.params.k();
-
-    // Execution: workers claim fixed blocks of trial indices from a shared
-    // counter. Unlike the original one-contiguous-range-per-worker split,
-    // a worker that lands on cheap trials keeps claiming; total wall clock
-    // tracks the sum of trial costs rather than the most expensive range.
-    let counter = AtomicU64::new(0);
-    let mut blocks: Vec<(u64, Vec<TrialCounts>)> = std::thread::scope(|scope| {
-        let counter = &counter;
-        let make_worker = &make_worker;
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let cfg = config.clone();
-                scope.spawn(move || {
-                    let mut worker = make_worker();
-                    let mut mine = Vec::new();
-                    loop {
-                        let lo = counter.fetch_add(STEAL_BLOCK, Ordering::Relaxed);
-                        if lo >= trials {
-                            break;
-                        }
-                        let hi = (lo + STEAL_BLOCK).min(trials);
-                        let counts = (lo..hi)
-                            .map(|trial| {
-                                let out = worker(&cfg, trial);
-                                TrialCounts {
-                                    true_reports: out.true_reports,
-                                    false_reports: out.false_reports,
-                                    dropped_reports: out.dropped_reports,
-                                }
-                            })
-                            .collect();
-                        mine.push((lo, counts));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker panicked"))
-            .collect()
+    let counts = fan_out(config, || {
+        let mut worker = make_worker();
+        move |trial| {
+            let out = worker(config, trial);
+            TrialCounts {
+                true_reports: out.true_reports,
+                false_reports: out.false_reports,
+                dropped_reports: out.dropped_reports,
+            }
+        }
     });
-    // Blocks are disjoint; sorting by start index restores trial order.
-    blocks.sort_unstable_by_key(|&(lo, _)| lo);
 
     // Aggregation: replay the original fixed-chunk reduction — one Welford
     // summary per `div_ceil(trials, threads)`-sized range, pushed in trial
@@ -132,7 +148,7 @@ where
     // bits from which thread actually ran a trial: the result is identical
     // to the pre-work-stealing implementation at the same thread count.
     let chunk = trials.div_ceil(threads as u64).max(1);
-    let mut ordered = blocks.iter().flat_map(|(_, counts)| counts.iter());
+    let mut ordered = counts.iter();
     let mut partials: Vec<(u64, Summary, Summary, Summary)> = Vec::new();
     for w in 0..threads as u64 {
         let lo = w * chunk;
@@ -145,7 +161,7 @@ where
         let mut false_alarms = Summary::new();
         let mut dropped = Summary::new();
         for _ in lo..hi {
-            let out = ordered.next().expect("blocks cover every trial");
+            let out = ordered.next().expect("the fan-out returns every trial");
             if out.true_reports >= k {
                 detections += 1;
             }

@@ -8,8 +8,8 @@
 //! the per-report DP state incrementally, and a [`DetectionEvent`] fires
 //! the moment a chain reaches length `k` — carrying the period that
 //! completed it, i.e. the time-to-detection. Served sessions feed it live;
-//! the simulator's false-alarm studies (`gbd_sim::group_filter`) replay each
-//! trial's reports through it in one batch.
+//! the simulator's false-alarm studies (`gbd_sim::group_filter`) step each
+//! trial's reports through it one at a time and stop at the first event.
 //!
 //! # The batch DP it reproduces
 //!
@@ -144,8 +144,9 @@ struct Entry {
 /// Incremental group filter over a stream of node reports.
 ///
 /// Feed batches of reports (non-decreasing in period across batches) via
-/// [`ingest`](StreamDetector::ingest); detection events are returned in
-/// deterministic ingestion order.
+/// [`ingest`](StreamDetector::ingest), or single reports in period order
+/// via [`ingest_one`](StreamDetector::ingest_one); detection events are
+/// returned in deterministic ingestion order.
 #[derive(Debug, Clone)]
 pub struct StreamDetector {
     config: StreamConfig,
@@ -186,17 +187,23 @@ impl StreamDetector {
     pub fn ingest(&mut self, reports: &[DetectionReport]) -> Vec<DetectionEvent> {
         let mut batch: Vec<&DetectionReport> = reports.iter().collect();
         batch.sort_by_key(|r| r.period);
-        let mut events = Vec::new();
-        for report in batch {
-            self.ingest_one(report, &mut events);
-        }
-        events
+        batch
+            .into_iter()
+            .filter_map(|report| self.ingest_one(report))
+            .collect()
     }
 
-    fn ingest_one(&mut self, report: &DetectionReport, events: &mut Vec<DetectionEvent>) {
+    /// Ingests one report and returns the detection event it fires, if
+    /// any: the step [`ingest`](StreamDetector::ingest) runs per report
+    /// after sorting its batch.
+    ///
+    /// Reports must arrive in non-decreasing period order; one older than
+    /// the [`frontier`](StreamDetector::frontier) is dropped and counted in
+    /// [`StreamStats::reports_late`].
+    pub fn ingest_one(&mut self, report: &DetectionReport) -> Option<DetectionEvent> {
         if report.period < self.frontier {
             self.stats.reports_late += 1;
-            return;
+            return None;
         }
         if report.period > self.frontier {
             self.frontier = report.period;
@@ -238,17 +245,19 @@ impl StreamDetector {
             best_len,
             first_period,
         });
-        if best_len >= self.config.k {
-            events.push(DetectionEvent {
-                seq: self.next_seq,
-                period: report.period,
-                sensor: report.sensor,
-                chain_len: best_len,
-                first_period,
-            });
-            self.next_seq += 1;
-            self.stats.events_emitted += 1;
+        if best_len < self.config.k {
+            return None;
         }
+        let event = DetectionEvent {
+            seq: self.next_seq,
+            period: report.period,
+            sensor: report.sensor,
+            chain_len: best_len,
+            first_period,
+        };
+        self.next_seq += 1;
+        self.stats.events_emitted += 1;
+        Some(event)
     }
 
     /// Longest feasible chain over every accepted report so far — equal to
@@ -528,6 +537,45 @@ mod proptests {
             }
             prop_assert_eq!(det.stats().reports_ingested as usize, reports.len());
             prop_assert_eq!(det.stats().reports_late, 0);
+        }
+
+        /// The public one-report step is `ingest`'s per-report work: on
+        /// every prefix of a period-ordered report sequence, feeding it one
+        /// report at a time through `ingest_one` and in bursts through
+        /// `ingest` gives equal events, stats and longest chain, with
+        /// expiry and eviction both in play.
+        #[test]
+        fn ingest_one_matches_ingest_on_every_prefix(
+            xs in proptest::collection::vec(
+                (0.0f64..32_000.0, 0.0f64..32_000.0, 1usize..25), 1..40),
+            burst in 1usize..5,
+            k in 1usize..5,
+            m in 1usize..8,
+            cap in 1usize..12,
+        ) {
+            let rule = TrackRule::new(10.0, 60.0, 1000.0);
+            let mut reports: Vec<DetectionReport> = xs
+                .iter()
+                .enumerate()
+                .map(|(i, &(x, y, p))| {
+                    DetectionReport::new(SensorId(i), p, Point::new(x, y), ReportKind::FalseAlarm)
+                })
+                .collect();
+            reports.sort_by_key(|r| r.period);
+            let config = StreamConfig::new(rule, k, m).with_max_tracks(cap);
+            let mut stepped = StreamDetector::new(config);
+            let mut step_events = Vec::new();
+            for fed in 1..=reports.len() {
+                step_events.extend(stepped.ingest_one(&reports[fed - 1]));
+                let mut batched = StreamDetector::new(config);
+                let batch_events: Vec<DetectionEvent> = reports[..fed]
+                    .chunks(burst)
+                    .flat_map(|chunk| batched.ingest(chunk))
+                    .collect();
+                prop_assert_eq!(&step_events, &batch_events, "prefix {}", fed);
+                prop_assert_eq!(stepped.stats(), batched.stats(), "prefix {}", fed);
+                prop_assert_eq!(stepped.longest_chain(), batched.longest_chain());
+            }
         }
 
         /// Expiry never changes the answer: a detector with expiry enabled
