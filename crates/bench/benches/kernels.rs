@@ -1,17 +1,13 @@
-//! Micro-benchmarks of the flat numeric kernels against their
-//! seed-faithful baselines (`gbd_core::baseline`).
-//!
-//! Each pair measures one layer of the hot analytical path in isolation:
-//! the memoized placement pmf table, the in-place stage convolution
-//! ladder, the counting-chain step through a reusable scratch arena, and
-//! the flat absorbing-chain solver. The full-run pair at the end is the
-//! composition the `perf_trajectory` binary reports as the
-//! baseline → optimized trajectory. Every optimized kernel is
-//! bit-identical to its baseline (pinned by proptests in
-//! `gbd_core::baseline`), so these are same-answer speedups.
+//! Micro-benchmarks of the flat numeric kernels of the hot analytical
+//! path, one layer at a time: the memoized placement pmf table, the
+//! in-place stage convolution ladder, the counting-chain step (allocating
+//! vs a reusable scratch arena), the absorbing-chain solver (allocating vs
+//! flat), and the full M-S run they compose. The end-to-end figure for
+//! this path is perfbench's `sweep` workload (`scripts/perf_ab.sh`). The
+//! kernels are pinned bit for bit to the seed's nested implementation by
+//! `gbd-core`'s test-only baseline (`crates/core/tests/baseline`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gbd_core::baseline;
 use gbd_core::ms_approach::{self, MsOptions};
 use gbd_core::params::SystemParams;
 use gbd_core::report_dist::{
@@ -53,9 +49,6 @@ fn body_stage() -> (Vec<f64>, f64, usize, f64, usize) {
 fn bench_stage_accuracy(c: &mut Criterion) {
     let (areas, field_area, n, _pd, cap) = body_stage();
     let region: f64 = areas.iter().sum();
-    c.bench_function("stage_accuracy/baseline_uncached", |b| {
-        b.iter(|| baseline::stage_accuracy_baseline(black_box(region), field_area, n, cap))
-    });
     let mut table = PmfTable::new();
     c.bench_function("stage_accuracy/flat_pmf_table", |b| {
         b.iter(|| stage_accuracy_with(black_box(region), field_area, n, cap, &mut table))
@@ -64,11 +57,6 @@ fn bench_stage_accuracy(c: &mut Criterion) {
 
 fn bench_stage_distribution(c: &mut Criterion) {
     let (areas, field_area, n, pd, cap) = body_stage();
-    c.bench_function("stage_distribution/baseline_allocating", |b| {
-        b.iter(|| {
-            baseline::stage_distribution_baseline(black_box(&areas), field_area, n, pd, cap)
-        })
-    });
     let mut qn = DiscreteDist::point_mass(0);
     let mut conv = Vec::new();
     c.bench_function("stage_distribution/flat_in_place", |b| {
@@ -129,9 +117,6 @@ fn bench_absorbing_solver(c: &mut Criterion) {
 fn bench_full_analysis(c: &mut Criterion) {
     let params = paper();
     let opts = MsOptions::default();
-    c.bench_function("full_ms/baseline", |b| {
-        b.iter(|| baseline::analyze_baseline(black_box(&params), &opts).expect("paper point"))
-    });
     c.bench_function("full_ms/flat", |b| {
         b.iter(|| ms_approach::analyze(black_box(&params), &opts).expect("paper point"))
     });

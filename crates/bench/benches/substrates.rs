@@ -1,10 +1,12 @@
 //! Benchmarks of the substrate crates: geometry closed forms, spatial
-//! queries, counting-chain steps and routing.
+//! queries on the CSR field (240 sensors, and 10^5 at paper density with
+//! its focused rebuild), counting-chain steps and routing. The end-to-end
+//! figure for the field is perfbench's `campaign` workload
+//! (`scripts/perf_ab.sh`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gbd_field::deployment::{Deployer, UniformRandom};
 use gbd_field::field::{BoundaryPolicy, SensorField};
-use gbd_field::oracle::NestedGridField;
 use gbd_geometry::circle::lens_area;
 use gbd_geometry::point::{Aabb, Point};
 use gbd_geometry::stadium::Stadium;
@@ -55,10 +57,8 @@ fn bench_field_queries(c: &mut Criterion) {
 }
 
 fn bench_large_field(c: &mut Criterion) {
-    // CSR grid vs the retained nested-Vec oracle at N = 10^5, paper
-    // density (side scales with sqrt N). The pair keeps the speedup
-    // measurable by `cargo bench` alone; the committed regression
-    // numbers live in results/BENCH_pr9.json (perf_trajectory leg 5).
+    // The CSR grid at N = 10^5, paper density (side scales with sqrt N):
+    // the allocation-free query against the allocating one.
     let n = 100_000usize;
     let side = 32_000.0 * (n as f64 / 240.0).sqrt();
     let extent = Aabb::from_extent(side, side);
@@ -71,7 +71,6 @@ fn bench_large_field(c: &mut Criterion) {
     );
     let mut group = c.benchmark_group("stadium_query_100k");
     let csr = SensorField::new(extent, positions.clone(), BoundaryPolicy::Torus);
-    let oracle = NestedGridField::new(extent, positions.clone(), BoundaryPolicy::Torus);
     group.bench_function("csr_alloc_free", |b| {
         let mut hits = Vec::new();
         b.iter(|| {
@@ -81,9 +80,6 @@ fn bench_large_field(c: &mut Criterion) {
     });
     group.bench_function("csr_allocating", |b| {
         b.iter(|| csr.query_stadium(black_box(&dr)))
-    });
-    group.bench_function("oracle_nested", |b| {
-        b.iter(|| oracle.query_stadium(black_box(&dr)))
     });
     group.finish();
 

@@ -1583,6 +1583,11 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     };
+    // Report commands end quietly when their stdout closes (`| head`);
+    // serve and route keep SIGPIPE ignored so a closed socket is an error.
+    if !matches!(command, "serve" | "route") {
+        gbd_serve::signals::default_sigpipe();
+    }
     if matches!(command, "help" | "--help" | "-h") {
         print_help();
         return ExitCode::SUCCESS;

@@ -53,9 +53,12 @@
 //! # Ok(())
 //! # }
 //! ```
+//!
+//! The flat kernels behind [`ms_approach`] are pinned bit for bit to the
+//! seed's nested, allocating implementation, which is kept as test code
+//! (`tests/baseline`) rather than shipped.
 
 pub mod accuracy;
-pub mod baseline;
 pub mod budget;
 pub mod design;
 pub mod exact;
@@ -73,6 +76,10 @@ pub mod time_to_detection;
 pub mod varying_speed;
 
 mod error;
+
+#[cfg(test)]
+#[path = "../tests/baseline/mod.rs"]
+mod baseline;
 
 pub use budget::ComputeBudget;
 pub use error::CoreError;

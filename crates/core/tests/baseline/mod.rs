@@ -1,20 +1,19 @@
-//! Seed-faithful baselines for the hot analytical path.
+//! Seed-faithful baselines for the hot analytical path, kept as the test
+//! oracle for the flat kernels.
 //!
 //! These functions preserve the algorithm shape the repository had before
 //! the flat-kernel rewrite: uncached `ln n!` evaluation, a fresh
 //! allocation per convolution, per-stage recomputation (no stage dedup),
-//! and the allocating counting-chain step. They exist for two reasons:
+//! and the allocating counting-chain step. The optimized path promises to
+//! be *bit-identical* to this one for `eps = 0`; the property tests at the
+//! bottom of this module (and the unit tests across `gbd-stats` /
+//! `gbd-markov`) pin that promise down against randomized
+//! [`SystemParams`].
 //!
-//! * **oracle** — the optimized path promises to be *bit-identical* to
-//!   this one for `eps = 0`; the property tests at the bottom of this
-//!   module (and the unit tests across `gbd-stats`/`gbd-markov`) pin that
-//!   promise down against randomized [`SystemParams`];
-//! * **honest "before" timings** — `BENCH_pr4.json` reports a
-//!   baseline → optimized trajectory, and the baseline leg runs this
-//!   module rather than a re-measurement of old commits.
-//!
-//! Nothing here is reachable from the production call graph; the engine,
-//! server, and CLI all use [`crate::ms_approach`].
+//! Included by `src/lib.rs` as a `#[cfg(test)]` module, because results
+//! are built through the crate-private `AnalysisResult::new`. Nothing here
+//! is compiled into the library; the engine, server, and CLI all use
+//! [`crate::ms_approach`].
 
 use crate::budget::ComputeBudget;
 use crate::ms_approach::{AnalysisResult, MsOptions, StageInput};
@@ -196,19 +195,6 @@ pub fn analyze_steps_baseline(
         chain.into_distribution(),
         predicted_accuracy,
     ))
-}
-
-/// Convenience wrapper: [`analyze_steps_baseline`] over constant steps.
-///
-/// # Errors
-///
-/// Same contract as [`analyze_steps_baseline`].
-pub fn analyze_baseline(
-    params: &SystemParams,
-    opts: &MsOptions,
-) -> Result<AnalysisResult, CoreError> {
-    let steps = vec![params.step(); params.m_periods()];
-    analyze_steps_baseline(params, &steps, opts)
 }
 
 #[cfg(test)]

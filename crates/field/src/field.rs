@@ -972,6 +972,59 @@ mod tests {
         assert_eq!(f.sensor(SensorId(3)).pos, Point::new(99.0, 50.0));
         assert_eq!(f.positions().len(), 4);
     }
+
+    /// Steady-state query cost, counted rather than timed: the indexed
+    /// entries in the grid cells each Detectable Region's bounding box
+    /// covers are the candidates a query walks. At paper density (240
+    /// sensors per (32 km)²) on one fixed mid-field 20-period track
+    /// (600 m steps, Rs = 1 km) with the field refocused on its corridor,
+    /// 100× more sensors must cost fewer than 2× more candidates.
+    #[test]
+    fn focused_query_candidates_grow_sub_linearly_in_n() {
+        use rand::{Rng as _, SeedableRng};
+        let candidates = |n: usize| {
+            let side = 32_000.0 * (n as f64 / 240.0).sqrt();
+            let extent = Aabb::from_extent(side, side);
+            let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(0x9E0 + n as u64);
+            let positions: Vec<Point> = (0..n)
+                .map(|_| {
+                    let x = rng.gen_range(extent.min.x..extent.max.x);
+                    Point::new(x, rng.gen_range(extent.min.y..extent.max.y))
+                })
+                .collect();
+            let (dx, dy, step, periods) = (0.37f64.cos(), 0.37f64.sin(), 600.0, 20);
+            let half = step * periods as f64 / 2.0;
+            let at = |d: f64| {
+                Point::new(
+                    side / 2.0 - dx * half + dx * d,
+                    side / 2.0 - dy * half + dy * d,
+                )
+            };
+            let drs: Vec<Stadium> = (0..periods)
+                .map(|p| Stadium::new(at(step * p as f64), at(step * (p + 1) as f64), 1_000.0))
+                .collect();
+            let focus = drs[1..]
+                .iter()
+                .fold(drs[0].bounding_box(), |f, dr| f.union(&dr.bounding_box()));
+            let mut field = SensorField::new(extent, positions, BoundaryPolicy::Torus);
+            field.refocus(focus);
+            let mut total = 0;
+            for bbox in drs.iter().map(Stadium::bounding_box) {
+                let (cx0, cx1) = (field.clamp_cx(bbox.min.x), field.clamp_cx(bbox.max.x));
+                for cy in field.clamp_cy(bbox.min.y)..=field.clamp_cy(bbox.max.y) {
+                    let row = cy * field.nx;
+                    total += (field.starts[row + cx1 + 1] - field.starts[row + cx0]) as usize;
+                }
+            }
+            total
+        };
+        let (small, large) = (candidates(10_000), candidates(1_000_000));
+        assert!(small > 0, "the corridor indexed no sensor");
+        assert!(
+            large < 2 * small,
+            "candidates grew from {small} to {large} over a 100x N increase"
+        );
+    }
 }
 
 #[cfg(test)]

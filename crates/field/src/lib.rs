@@ -11,9 +11,9 @@
 //!   set with circle and stadium range queries under either a bounded or a
 //!   toroidal boundary policy, rebuildable in place and focusable on a
 //!   query corridor for large-N simulation;
-//! * [`oracle`] — [`oracle::NestedGridField`]: the pre-CSR nested-`Vec`
-//!   field, retained as the correctness and performance oracle the CSR
-//!   path is benchmarked and bit-identity-tested against;
+//! * the pre-CSR nested-`Vec` field is not shipped: `gbd-sim` keeps it as
+//!   a test oracle (`tests/nested_grid_oracle`) and checks whole trials
+//!   and campaigns against the CSR path bit for bit;
 //! * [`coverage`] — coverage statistics: covered-area fraction, k-coverage,
 //!   and the analytic Poisson approximation they are tested against.
 //!
@@ -42,5 +42,4 @@
 pub mod coverage;
 pub mod deployment;
 pub mod field;
-pub mod oracle;
 pub mod sensor;

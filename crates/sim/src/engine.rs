@@ -315,14 +315,14 @@ pub(crate) fn inject_false_alarms(
 
 #[cfg(test)]
 pub(crate) mod oracle_support {
-    //! The pre-CSR trial loop, replayed verbatim over the retained
-    //! nested-`Vec` [`NestedGridField`] — the reference side of the
-    //! engine's bit-identity tests. Every RNG draw, query, and report push
-    //! happens in exactly the order the engine shipped with before the CSR
-    //! rewrite. False alarms come from the production sampler: the oracle
-    //! pins the field, not the sampler.
+    //! The pre-CSR trial loop, replayed verbatim over the nested-`Vec`
+    //! [`NestedGridField`] (`tests/nested_grid_oracle`) — the reference
+    //! side of the engine's and the runner's bit-identity tests. Every RNG
+    //! draw, query, and report push happens in exactly the order the
+    //! engine shipped with before the CSR rewrite. False alarms come from
+    //! the production sampler: the oracle pins the field, not the sampler.
     use super::*;
-    use gbd_field::oracle::NestedGridField;
+    use crate::nested_grid_oracle::NestedGridField;
 
     /// The engine's pre-CSR `run_trial`, byte for byte.
     pub(crate) fn run_trial_oracle(config: &SimConfig, trial_index: u64) -> TrialOutcome {

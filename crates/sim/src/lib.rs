@@ -59,3 +59,7 @@ pub mod render;
 pub mod reports;
 pub mod runner;
 pub mod tracking;
+
+#[cfg(test)]
+#[path = "../tests/nested_grid_oracle/mod.rs"]
+mod nested_grid_oracle;

@@ -1,29 +1,25 @@
-//! The pre-CSR nested-`Vec` sensor field, retained as a correctness and
-//! performance oracle.
+//! The pre-CSR nested-`Vec` sensor field, kept as the correctness oracle
+//! for `gbd_field::field::SensorField`.
 //!
 //! [`NestedGridField`] is the spatial hash the simulator shipped with
-//! before the flat CSR rewrite in [`crate::field`]: one heap-allocated
-//! `Vec<u32>` per grid cell, a 256×256 grid cap, and allocating queries
-//! that collect each of the nine torus images separately. It answers every
-//! query with exactly the ids (and order) the old field did, so:
-//!
-//! * the simulator's bit-identity test replays whole campaigns through it
-//!   and asserts byte-equal results against the CSR path;
-//! * the `perf_trajectory` sim leg and the criterion substrate pair time
-//!   it against the CSR field on the same deployments, so the reported
-//!   speedup is for the *same answers*.
+//! before the flat CSR rewrite: one heap-allocated `Vec<u32>` per grid
+//! cell, a 256×256 grid cap, and allocating queries that collect each of
+//! the nine torus images separately. It answers every query with exactly
+//! the ids (and order) the old field did, so the engine's
+//! `oracle_support` trial replays whole trials and campaigns through it
+//! and the bit-identity tests assert equal results against the CSR path.
+//! Production code runs `SensorField` only.
 //!
 //! Do not optimize this type; its value is being the slow, obviously
 //! correct reference.
 
-use crate::sensor::{Sensor, SensorId};
+use gbd_field::field::BoundaryPolicy;
+use gbd_field::sensor::{Sensor, SensorId};
 use gbd_geometry::point::{Aabb, Point};
 use gbd_geometry::stadium::Stadium;
 
-pub use crate::field::BoundaryPolicy;
-
-/// The nested-`Vec` spatial hash the CSR [`crate::field::SensorField`]
-/// replaced; query-for-query identical to it.
+/// The nested-`Vec` spatial hash the CSR `SensorField` replaced;
+/// query-for-query identical to it.
 #[derive(Debug, Clone)]
 pub struct NestedGridField {
     extent: Aabb,
@@ -81,19 +77,9 @@ impl NestedGridField {
         }
     }
 
-    /// Field extent.
-    pub fn extent(&self) -> Aabb {
-        self.extent
-    }
-
     /// Number of deployed sensors.
     pub fn len(&self) -> usize {
         self.sensors.len()
-    }
-
-    /// Whether the field has no sensors.
-    pub fn is_empty(&self) -> bool {
-        self.sensors.is_empty()
     }
 
     /// All sensors, ordered by id.

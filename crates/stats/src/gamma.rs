@@ -98,8 +98,8 @@ pub fn ln_factorial(n: u64) -> f64 {
 
 /// [`ln_factorial`] without the memo table — the seed implementation,
 /// kept callable so the cache contents (and callers pinned to the
-/// original arithmetic, like the benchmark baselines) can be audited
-/// against it.
+/// original arithmetic, like `gbd-core`'s test-only seed baseline) can be
+/// audited against it.
 pub fn ln_factorial_uncached(n: u64) -> f64 {
     // Exact factorials representable in f64 without rounding error.
     const EXACT: [f64; 21] = [

@@ -6,19 +6,13 @@
 #   scripts/check.sh --chaos        additionally run the fault-injection
 #                                   suite under three seeds (deterministic
 #                                   per seed)
-#   scripts/check.sh --bench-smoke  additionally run the quick benchmark
-#                                   trajectory, validate its JSON schema,
-#                                   and fail on a >25% regression of the
-#                                   derived speedup ratios against the
-#                                   committed results/BENCH_pr4.json
-#   scripts/check.sh --sim-bench-smoke  additionally run the quick
-#                                   sim-grid leg (CSR + focused rebuild vs
-#                                   the nested-Vec oracle, which also
-#                                   proves id-for-id query identity),
-#                                   validate its JSON schema, and fail on
-#                                   a >50% regression of the N=10^5
-#                                   per-trial speedup against the
-#                                   committed results/BENCH_pr9.json
+#   scripts/check.sh --perf-ab      additionally run scripts/perf_ab.sh:
+#                                   parent/change pairs of every perfbench
+#                                   workload, HEAD against the working
+#                                   tree (about 40 minutes on 2 vCPUs);
+#                                   fails when a change median is worse
+#                                   than HEAD's beyond its BENCHMARK.json
+#                                   bound, or a change run fails ops
 #   scripts/check.sh --store-smoke  additionally crash (SIGABRT mid-append,
 #                                   via the gbd-store `chaos` feature) a
 #                                   store-backed warm run, then prove the
@@ -51,8 +45,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 chaos=0
-bench_smoke=0
-sim_bench_smoke=0
+perf_ab=0
 store_smoke=0
 obs_smoke=0
 cluster_smoke=0
@@ -60,13 +53,12 @@ stream_smoke=0
 for arg in "$@"; do
   case "$arg" in
     --chaos) chaos=1 ;;
-    --bench-smoke) bench_smoke=1 ;;
-    --sim-bench-smoke) sim_bench_smoke=1 ;;
+    --perf-ab) perf_ab=1 ;;
     --store-smoke) store_smoke=1 ;;
     --obs-smoke) obs_smoke=1 ;;
     --cluster-smoke) cluster_smoke=1 ;;
     --stream-smoke) stream_smoke=1 ;;
-    *) echo "unknown argument: $arg (expected --chaos, --bench-smoke, --sim-bench-smoke, --store-smoke, --obs-smoke, --cluster-smoke, or --stream-smoke)" >&2; exit 2 ;;
+    *) echo "unknown argument: $arg (expected --chaos, --perf-ab, --store-smoke, --obs-smoke, --cluster-smoke, or --stream-smoke)" >&2; exit 2 ;;
   esac
 done
 
@@ -131,136 +123,6 @@ fi
 target/release/loadgen --addr "$addr" --clients 4 --requests 32 \
   --sim-every 8 --out "$smoke_dir" --assert-coalescing --shutdown
 wait "$serve_pid"
-
-if [ "$bench_smoke" -eq 1 ]; then
-  # Quick trajectory run into the temp dir, then: (1) schema validation,
-  # (2) regression gate on the derived speedup *ratios* — wall-clock
-  # times vary across hosts, but "flat kernels beat the baseline by ≥2×"
-  # and "warm beats cold" are machine-independent claims, so a >25% drop
-  # of either ratio against the committed baseline fails the gate.
-  echo "==> bench smoke (scripts/bench.sh --quick + schema + regression gate)"
-  scripts/bench.sh --quick --out "$smoke_dir"
-  python3 - "$smoke_dir/BENCH_pr4.json" results/BENCH_pr4.json <<'PY'
-import json, sys
-
-current_path, committed_path = sys.argv[1], sys.argv[2]
-with open(current_path) as f:
-    current = json.load(f)
-
-def fail(msg):
-    print(f"bench smoke: FAILED: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-if current.get("bench") != "pr4_perf_trajectory":
-    fail(f"unexpected bench id {current.get('bench')!r}")
-if not isinstance(current.get("cores"), int) or current["cores"] < 1:
-    fail("cores must be a positive integer")
-entries = current.get("entries")
-if not isinstance(entries, list) or not entries:
-    fail("entries must be a non-empty list")
-for e in entries:
-    for key, kind in (("name", str), ("mode", str), ("impl", str)):
-        if not isinstance(e.get(key), kind):
-            fail(f"entry {e!r}: {key} must be {kind.__name__}")
-    if not (isinstance(e.get("wall_ms"), (int, float)) and e["wall_ms"] > 0):
-        fail(f"entry {e!r}: wall_ms must be positive")
-    if not (isinstance(e.get("points"), int) and e["points"] > 0):
-        fail(f"entry {e!r}: points must be positive")
-names = {(e["name"], e["mode"], e["impl"]) for e in entries}
-for required in (("fig8_sweep", "cold", "baseline"), ("fig8_sweep", "cold", "optimized"),
-                 ("engine_sweep", "cold", "optimized"), ("engine_sweep", "warm", "optimized")):
-    if required not in names:
-        fail(f"missing entry {required}")
-derived = current.get("derived", {})
-for key in ("fig8_cold_speedup", "engine_warm_speedup", "thread_scaling"):
-    if not (isinstance(derived.get(key), (int, float)) and derived[key] > 0):
-        fail(f"derived.{key} must be positive")
-if derived.get("bit_identical") is not True:
-    fail("derived.bit_identical must be true")
-
-try:
-    with open(committed_path) as f:
-        committed = json.load(f)
-except FileNotFoundError:
-    print("bench smoke: no committed baseline yet; schema check only")
-    sys.exit(0)
-for key in ("fig8_cold_speedup", "engine_warm_speedup"):
-    base = committed.get("derived", {}).get(key)
-    now = derived[key]
-    if isinstance(base, (int, float)) and base > 0 and now < 0.75 * base:
-        fail(f"{key} regressed >25%: {now:.2f}x vs committed {base:.2f}x")
-    print(f"bench smoke: {key} {now:.2f}x (committed {base if base else '-'}x)")
-print("bench smoke: ok")
-PY
-fi
-
-if [ "$sim_bench_smoke" -eq 1 ]; then
-  # Quick sim-grid leg into the temp dir. The binary itself asserts the
-  # CSR field answers every query id-for-id identically to the retained
-  # nested-Vec oracle and that query cost grows sub-linearly in N; the
-  # gate below adds (1) schema validation and (2) a regression check on
-  # the N=10^5 per-trial speedup. The 50% tolerance (vs 25% for the
-  # analytical legs) reflects that the oracle side is allocation-bound
-  # and so much noisier on shared vCPUs.
-  echo "==> sim bench smoke (perf_trajectory --sim-only --quick + regression gate)"
-  cargo build --release -q -p gbd-bench --bin perf_trajectory
-  target/release/perf_trajectory --sim-only --quick --out "$smoke_dir"
-  python3 - "$smoke_dir/BENCH_pr9.json" results/BENCH_pr9.json <<'PY'
-import json, sys
-
-current_path, committed_path = sys.argv[1], sys.argv[2]
-with open(current_path) as f:
-    current = json.load(f)
-
-def fail(msg):
-    print(f"sim bench smoke: FAILED: {msg}", file=sys.stderr)
-    sys.exit(1)
-
-if current.get("bench") != "pr9_sim_grid":
-    fail(f"unexpected bench id {current.get('bench')!r}")
-if not isinstance(current.get("cores"), int) or current["cores"] < 1:
-    fail("cores must be a positive integer")
-entries = current.get("entries")
-if not isinstance(entries, list) or not entries:
-    fail("entries must be a non-empty list")
-for e in entries:
-    for key, kind in (("name", str), ("mode", str), ("impl", str)):
-        if not isinstance(e.get(key), kind):
-            fail(f"entry {e!r}: {key} must be {kind.__name__}")
-    if not (isinstance(e.get("wall_ms"), (int, float)) and e["wall_ms"] > 0):
-        fail(f"entry {e!r}: wall_ms must be positive")
-names = {(e["name"], e["mode"], e["impl"]) for e in entries}
-for required in (("sim_grid", "n100000", "oracle_nested"),
-                 ("sim_grid", "n100000", "csr_focus"),
-                 ("sim_grid", "n100000", "csr_query_only")):
-    if required not in names:
-        fail(f"missing entry {required}")
-derived = current.get("derived", {})
-key = "sim_speedup_n100000"
-if not (isinstance(derived.get(key), (int, float)) and derived[key] > 0):
-    fail(f"derived.{key} must be positive")
-if derived.get("bit_identical") is not True:
-    fail("derived.bit_identical must be true")
-growth = derived.get("query_growth")
-ratio = derived.get("query_growth_n_ratio")
-if not (isinstance(growth, (int, float)) and isinstance(ratio, (int, float))
-        and growth < ratio):
-    fail(f"query growth {growth} is not sub-linear in the N ratio {ratio}")
-
-try:
-    with open(committed_path) as f:
-        committed = json.load(f)
-except FileNotFoundError:
-    print("sim bench smoke: no committed baseline yet; schema check only")
-    sys.exit(0)
-base = committed.get("derived", {}).get(key)
-now = derived[key]
-if isinstance(base, (int, float)) and base > 0 and now < 0.5 * base:
-    fail(f"{key} regressed >50%: {now:.2f}x vs committed {base:.2f}x")
-print(f"sim bench smoke: {key} {now:.2f}x (committed {base if base else '-'}x)")
-print("sim bench smoke: ok")
-PY
-fi
 
 if [ "$store_smoke" -eq 1 ]; then
   # Crash-safety proof, end to end through the CLI:
@@ -603,6 +465,11 @@ if [ "$chaos" -eq 1 ]; then
     echo "==> chaos suite (GBD_CHAOS_SEED=$seed)"
     GBD_CHAOS_SEED=$seed cargo test -q --test resilience
   done
+fi
+
+if [ "$perf_ab" -eq 1 ]; then
+  echo "==> perf A/B (scripts/perf_ab.sh: HEAD vs the working tree)"
+  scripts/perf_ab.sh
 fi
 
 echo "check.sh: all gates passed"
