@@ -8,7 +8,7 @@
 //! request-oriented engine:
 //!
 //! * submit a batch of [`EvalRequest`]s (`params` × backend × options);
-//! * the engine fans them out over a deterministic worker pool;
+//! * the engine fans them out on [`gbd_stats::pool`], shared with the simulator;
 //! * responses come back in request order, each with its detection
 //!   probabilities, timing, and cache accounting.
 //!
@@ -86,7 +86,6 @@ pub mod request;
 pub mod resilience;
 
 mod persist;
-mod pool;
 
 pub use cache::CacheStats;
 #[cfg(feature = "chaos")]
@@ -205,19 +204,21 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Engine with one worker per available core.
+    /// Engine with one worker per core: the core count
+    /// ([`gbd_stats::pool::cores`]) is read once per process.
     pub fn new() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::with_workers(workers)
+        Self::with_workers(gbd_stats::pool::cores())
     }
 
-    /// Engine with an explicit worker-pool size (`0` is treated as 1).
-    /// Responses do not depend on the worker count — only latency does.
+    /// Engine whose batches run on `workers` threads, the calling thread
+    /// among them. `0` is treated as 1, and counts above the core count
+    /// are capped to it, the size of the shared pool plus the caller. At
+    /// 1 the engine runs every batch on the calling thread and never
+    /// starts the pool. Responses do not depend on the worker count —
+    /// only latency does.
     pub fn with_workers(workers: usize) -> Self {
         Engine {
-            workers: workers.max(1),
+            workers: workers.clamp(1, gbd_stats::pool::cores()),
             geometry: ShardedCache::new(),
             stages: ShardedCache::new(),
             results: ShardedCache::new(),
@@ -327,7 +328,7 @@ impl Engine {
         self.evaluate_at(0, request, &faults)
     }
 
-    /// Evaluates a batch across the worker pool. Responses are returned in
+    /// Evaluates a batch across the engine's workers. Responses are returned in
     /// request order, and their values are independent of the worker count
     /// and of which requests hit warm caches.
     pub fn evaluate_batch(&self, requests: &[EvalRequest]) -> Vec<EvalResponse> {
@@ -342,9 +343,9 @@ impl Engine {
     /// waiting for the slowest request.
     ///
     /// `notify` observes every response exactly once in the common case;
-    /// if a worker thread is killed outside the per-request panic boundary
-    /// (the defense-in-depth recompute path of the pool), a recomputed
-    /// response may be notified again — consumers routing by
+    /// if a panic escapes the per-request panic boundary (into the
+    /// defense-in-depth recompute path of [`gbd_stats::pool::fan_out`]),
+    /// a recomputed response may be notified again — consumers routing by
     /// [`EvalResponse::index`] are idempotent by construction.
     pub fn evaluate_batch_with<F>(
         &self,
@@ -356,11 +357,13 @@ impl Engine {
     {
         let faults = self.batch_faults(requests.len());
         let schedule = self.schedule(requests);
-        let computed = pool::run_indexed(requests.len(), self.workers, |slot| {
-            let i = schedule[slot];
-            let response = self.evaluate_at(i, &requests[i], &faults);
-            notify(&response);
-            response
+        let computed = gbd_stats::pool::fan_out(requests.len(), self.workers, || {
+            |slot| {
+                let i = schedule[slot];
+                let response = self.evaluate_at(i, &requests[i], &faults);
+                notify(&response);
+                response
+            }
         });
         // The schedule permuted execution order only; sorting by the
         // original request index restores request order for the caller.
@@ -1013,6 +1016,40 @@ mod tests {
         for (a, b) in one.iter().zip(&many) {
             assert_eq!(a.outcome, b.outcome);
             assert_eq!(a.index, b.index);
+        }
+    }
+
+    #[test]
+    fn nested_simulation_batches_stay_on_the_pools_threads() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        // Four simulations asking for every core, inside a two-worker
+        // batch: each finds the pool busy and runs its trials on its
+        // engine worker's thread instead of fanning out again.
+        let batch: Vec<EvalRequest> = (0..4u64)
+            .map(|seed| {
+                EvalRequest::new(
+                    paper().with_n_sensors(60 + 60 * seed as usize),
+                    BackendSpec::Simulation(SimulationSpec {
+                        trials: 200,
+                        seed,
+                        threads: 0,
+                        ..SimulationSpec::default()
+                    }),
+                )
+            })
+            .collect();
+        let ran = Mutex::new(HashSet::new());
+        let two = Engine::with_workers(2).evaluate_batch_with(&batch, |_| {
+            ran.lock().unwrap().insert(std::thread::current().id());
+        });
+        let one = Engine::with_workers(1).evaluate_batch(&batch);
+        let cores = gbd_stats::pool::cores();
+        assert!(ran.lock().unwrap().len() <= cores);
+        assert!(gbd_stats::pool::helpers_started() < cores);
+        for (a, b) in one.iter().zip(&two) {
+            assert_eq!(a.index, b.index);
+            assert_eq!(format!("{:?}", a.outcome), format!("{:?}", b.outcome));
         }
     }
 

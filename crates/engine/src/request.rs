@@ -90,8 +90,8 @@ pub struct SimulationSpec {
     pub awake_probability: f64,
     /// Sensor placement strategy.
     pub deployment: DeploymentSpec,
-    /// Worker threads *inside* the simulation (0 = all cores). Not part of
-    /// the cache identity: results are thread-count invariant.
+    /// Worker threads *inside* the simulation (0 = every core, read once per process), capped
+    /// at the core count (see [`SimConfig::threads`]). Not part of the cache identity.
     pub threads: usize,
 }
 

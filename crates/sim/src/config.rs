@@ -68,10 +68,16 @@ pub struct SimConfig {
     /// sleep scheduling, cf. the paper's §5 related work; `1.0` = always
     /// on). A sleeping sensor neither detects nor misfires.
     pub awake_probability: f64,
-    /// Number of worker threads (0 = all available cores) for every
-    /// campaign runner: [`crate::runner::run`],
+    /// Number of worker threads (0 = every core) for every campaign
+    /// runner: [`crate::runner::run`],
     /// [`crate::false_alarm::run_with_filter`] and
-    /// [`crate::false_alarm::run_no_target`].
+    /// [`crate::false_alarm::run_no_target`]. The core count is read once
+    /// per process ([`gbd_stats::pool::cores`]). The trials run on the
+    /// shared [`gbd_stats::pool`], so a count above the core count is
+    /// capped to it, and a campaign started while the pool is busy (inside
+    /// an engine batch, say) runs on its calling thread alone; neither
+    /// changes a result, because `run`'s reduction is chunked by this
+    /// configured count.
     pub threads: usize,
     /// Deterministic fault injection (node failures, dropped reports);
     /// `None` (the default) simulates a fault-free network.
@@ -191,7 +197,8 @@ impl SimConfig {
         self
     }
 
-    /// Sets the worker-thread count (0 = all cores).
+    /// Sets the worker-thread count (0 = every core; see
+    /// [`SimConfig::threads`] for the cap).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

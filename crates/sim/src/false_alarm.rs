@@ -13,9 +13,10 @@
 use crate::config::SimConfig;
 use crate::engine::{deploy_sensors, inject_false_alarms, run_trial_in, TrialScratch};
 use crate::group_filter::{group_detects, TrackRule};
-use crate::runner::fan_out;
+use crate::runner::{thread_count, trial_count};
 use gbd_geometry::point::Aabb;
 use gbd_stats::interval::{wilson, ProportionInterval};
+use gbd_stats::pool::fan_out;
 use gbd_stats::rng::rng_stream;
 
 /// The track rule matching a simulation config: the target's speed as
@@ -56,10 +57,10 @@ pub fn run_with_filter(config: &SimConfig) -> FilteredSimResult {
     let params = &config.params;
     let rule = track_rule(config);
     let (k, m) = (params.k(), params.m_periods());
-    let per_trial = fan_out(config, || {
+    let per_trial = fan_out(trial_count(config), thread_count(config), || {
         let mut scratch = TrialScratch::new();
         move |trial| {
-            let out = run_trial_in(config, trial, &mut scratch);
+            let out = run_trial_in(config, trial as u64, &mut scratch);
             (out.detected(k), group_detects(&out.reports, &rule, k, m))
         }
     });
@@ -104,10 +105,11 @@ pub fn run_no_target(config: &SimConfig) -> NoTargetResult {
     let rule = track_rule(config);
     let (k, m) = (params.k(), params.m_periods());
     let extent = Aabb::from_extent(params.field_width(), params.field_height());
-    let per_trial = fan_out(config, || {
+    let per_trial = fan_out(trial_count(config), thread_count(config), || {
         let mut positions = Vec::new();
         let mut reports = Vec::new();
         move |trial| {
+            let trial = trial as u64;
             let mut rng = rng_stream(config.seed, trial);
             positions.clear();
             deploy_sensors(config, &extent, &mut rng, &mut positions);

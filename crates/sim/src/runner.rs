@@ -1,17 +1,18 @@
 //! Parallel trial execution.
 //!
 //! Every campaign runner — [`run`], and the false-alarm runners in
-//! [`crate::false_alarm`] — fans its trials out through one private
-//! work-stealing loop on [`SimConfig::threads`] workers, the calling thread
-//! among them. Trial `i` always draws the stream `(seed, i)`, and results
-//! come back in trial order, so no result depends on which worker ran
-//! which trial.
+//! [`crate::false_alarm`] — fans its trials out through
+//! [`gbd_stats::pool::fan_out`], the process-wide pool the engine's
+//! batches share, on up to [`SimConfig::threads`] participants, the calling
+//! thread among them. Trial `i` always draws the stream `(seed, i)`, and
+//! results come back in trial order, so no result depends on which thread
+//! ran which trial.
 
 use crate::config::SimConfig;
 use crate::engine::{run_trial_in, TrialOutcome, TrialScratch};
 use gbd_stats::interval::{wilson, ProportionInterval};
+use gbd_stats::pool::{cores, fan_out};
 use gbd_stats::summary::Summary;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Aggregated result of a simulation campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,57 +47,21 @@ struct TrialCounts {
     dropped_reports: usize,
 }
 
-/// The worker count `config.threads` asks for (0 = all available cores).
-fn thread_count(config: &SimConfig) -> usize {
+/// The thread count `config.threads` asks for (0 = every core, read once
+/// per process). [`run_with`] chunks its reduction by this count, however
+/// many threads the pool lets take part.
+pub(crate) fn thread_count(config: &SimConfig) -> usize {
     if config.threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        cores()
     } else {
         config.threads
     }
 }
 
-/// Runs trials `0..config.trials` and returns their results in trial
-/// order. `make_worker` is called once per worker; the closure it returns
-/// runs every trial that worker claims, so it can own per-worker state.
-///
-/// Workers claim one trial index at a time from a shared counter, so a
-/// worker that lands on cheap trials keeps claiming and even a 50-trial
-/// campaign splits evenly; a trial costs microseconds (its deployment
-/// draws alone), so one relaxed increment per trial keeps the counter
-/// cold. The calling thread works too, and no more workers start than
-/// there are trials.
-pub(crate) fn fan_out<T, W, F>(config: &SimConfig, make_worker: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn() -> W + Sync,
-    W: FnMut(u64) -> T,
-{
-    let trials = config.trials;
-    let workers = (thread_count(config) as u64).min(trials).max(1);
-    let next = AtomicU64::new(0);
-    let work = || {
-        let mut worker = make_worker();
-        let mut mine = Vec::new();
-        loop {
-            let trial = next.fetch_add(1, Ordering::Relaxed);
-            if trial >= trials {
-                break mine;
-            }
-            mine.push((trial, worker(trial)));
-        }
-    };
-    let mut done: Vec<(u64, T)> = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
-        let mut done = work();
-        for helper in helpers {
-            done.extend(helper.join().expect("trial worker panicked"));
-        }
-        done
-    });
-    done.sort_unstable_by_key(|&(trial, _)| trial);
-    done.into_iter().map(|(_, result)| result).collect()
+/// The trial count as a fan-out length: the runners hold one result per
+/// trial in memory, so it fits in a `usize`.
+pub(crate) fn trial_count(config: &SimConfig) -> usize {
+    usize::try_from(config.trials).expect("one result per trial fits in memory")
 }
 
 /// Runs `config.trials` independent trials, in parallel, and aggregates.
@@ -107,9 +72,9 @@ where
 /// scheduling outcome, so the result is byte-stable across runs even
 /// though the *execution* order is work-stealing.
 pub fn run(config: &SimConfig) -> SimResult {
-    // One TrialScratch per worker thread: the field's position, index, and
-    // query buffers are recycled across every trial the worker claims, so
-    // the steady-state campaign allocates only each trial's report list.
+    // One TrialScratch per participant: the field's position, index, and
+    // query buffers are recycled across every trial it claims, so the
+    // steady-state campaign allocates only each trial's report list.
     run_with(config, || {
         let mut scratch = TrialScratch::new();
         move |cfg: &SimConfig, trial: u64| run_trial_in(cfg, trial, &mut scratch)
@@ -117,8 +82,8 @@ pub fn run(config: &SimConfig) -> SimResult {
 }
 
 /// [`run`] with a caller-supplied trial function. `make_worker` is called
-/// once per worker thread; the returned closure runs every trial that
-/// thread claims, so it can own per-worker state (arenas, instrumentation,
+/// once per participating thread; the returned closure runs every trial
+/// that thread claims, so it can own per-thread state (arenas, instrumentation,
 /// an alternative engine). The aggregation is the same replayed
 /// fixed-chunk reduction, so two workers that produce byte-identical
 /// [`TrialOutcome`]s produce byte-identical [`SimResult`]s.
@@ -130,10 +95,10 @@ where
     let threads = thread_count(config);
     let trials = config.trials;
     let k = config.params.k();
-    let counts = fan_out(config, || {
+    let counts = fan_out(trial_count(config), threads, || {
         let mut worker = make_worker();
         move |trial| {
-            let out = worker(config, trial);
+            let out = worker(config, trial as u64);
             TrialCounts {
                 true_reports: out.true_reports,
                 false_reports: out.false_reports,
@@ -144,9 +109,10 @@ where
 
     // Aggregation: replay the original fixed-chunk reduction — one Welford
     // summary per `div_ceil(trials, threads)`-sized range, pushed in trial
-    // order, partials merged in range order. This decouples the summary
-    // bits from which thread actually ran a trial: the result is identical
-    // to the pre-work-stealing implementation at the same thread count.
+    // order, partials merged in range order. `threads` is the configured
+    // count, never the number of threads that ran, so the summary bits do
+    // not depend on the pool: the result is identical to the
+    // pre-work-stealing implementation at the same thread count.
     let chunk = trials.div_ceil(threads as u64).max(1);
     let mut ordered = counts.iter();
     let mut partials: Vec<(u64, Summary, Summary, Summary)> = Vec::new();

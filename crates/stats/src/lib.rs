@@ -34,6 +34,11 @@
 //! # Ok(())
 //! # }
 //! ```
+//!
+//! [`pool`] is the workspace's one fan-out: independent items over a
+//! process-wide pool of parked threads, shared by the engine's batches and
+//! the simulator's trials. With per-item [`rng`] streams, its results do
+//! not depend on the thread count.
 
 pub mod binomial;
 pub mod chisq;
@@ -41,6 +46,7 @@ pub mod discrete;
 pub mod gamma;
 pub mod interval;
 pub mod poisson;
+pub mod pool;
 pub mod rng;
 pub mod summary;
 

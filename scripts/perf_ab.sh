@@ -23,8 +23,11 @@
 #
 # Prints one JSON document to stdout: per workload and end-to-end metric,
 # the parent and change medians and IQRs, the number of pairs, the pairs
-# the change won, and a verdict against the metric's `bound` and `better`
-# direction. Progress goes to stderr. Exits 1 when a change median is worse
+# the change won, and a verdict: `regressed` when the change median is worse
+# than the parent's by more than the metric's `bound` (in its `better`
+# direction), else `unresolved` when either side's IQR exceeds `bound` times
+# its median and some change run reads no better than some parent run, else
+# `within bound`. Progress goes to stderr. Exits 1 when a change median is worse
 # than the parent's by more than its bound, when a change run reads
 # `correct: false` or ends without a result, or when the change's share of
 # failed ops on a workload exceeds the parent's.
@@ -123,6 +126,16 @@ def summary(values):
     return {"median": q2, "iqr": q3 - q1}
 
 
+def separated(value, higher):
+    """Whether every change run reads better than every parent run."""
+    got = {s: [v for v in value[s] if v is not None] for s in SIDES}
+    if not got["parent"] or not got["change"]:
+        return False
+    if higher:
+        return min(got["change"]) > max(got["parent"])
+    return max(got["change"]) < min(got["parent"])
+
+
 failures = []
 report = {}
 for w in workloads:
@@ -161,10 +174,18 @@ for w in workloads:
         else:
             delta = (cm - pm) / abs(pm)
             worse = -delta if higher else delta
-            verdict = "regressed" if worse > m["bound"] else "within bound"
-            if verdict == "regressed":
+            # Medians cannot show a metric unchanged when a side's runs
+            # spread wider than the bound, unless the sides do not overlap.
+            wide = any(stats[s]["iqr"] > m["bound"] * abs(stats[s]["median"])
+                       for s in SIDES)
+            if worse > m["bound"]:
+                verdict = "regressed"
                 failures.append(f"{w} {name}: {pm:.4g} -> {cm:.4g} ({delta:+.1%}), "
                                 f"bound {m['bound']:.0%}")
+            elif wide and not separated(value, higher):
+                verdict = "unresolved"
+            else:
+                verdict = "within bound"
         entry["metrics"][name] = {
             "unit": m["unit"],
             "better": m["better"],
