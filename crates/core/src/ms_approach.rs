@@ -602,10 +602,11 @@ mod tests {
     fn paper_accuracy_example_n240_v10() {
         // §4 quotes 95.6% accuracy at N = 240, V = 10 m/s with g = gh = 3.
         // Evaluating Eq (14) exactly as printed (Eqs (7) and (9) with the
-        // head/body NEDR areas) gives 97.6%; the small gap with the quoted
-        // figure is recorded in EXPERIMENTS.md. Both values say the same
-        // thing: a few percent of mass is truncated, hence Figure 9(b)'s
-        // visible undershoot and Figure 9(a)'s need for normalization.
+        // head/body NEDR areas) gives 97.6% (0.976392); the small gap with
+        // the quoted figure is recorded in EXPERIMENTS.md. Both values say
+        // the same thing: a few percent of mass is truncated, hence Figure
+        // 9(b)'s visible undershoot and Figure 9(a)'s need for
+        // normalization.
         let r = analyze(
             &paper(),
             &MsOptions {
@@ -616,7 +617,7 @@ mod tests {
         )
         .unwrap();
         let acc = r.predicted_accuracy();
-        assert!((0.94..=0.99).contains(&acc), "{acc}");
+        assert!((acc - 0.976).abs() < 5e-4, "{acc}");
     }
 
     #[test]

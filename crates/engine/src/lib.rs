@@ -1204,6 +1204,29 @@ mod tests {
     }
 
     #[test]
+    fn warm_simulation_answers_match_cold_ones_at_any_thread_count() {
+        // The result key ignores `threads`, so a threads-4 request is
+        // served from the entry a threads-1 request filled.
+        let request = |threads| {
+            EvalRequest::new(
+                paper(),
+                BackendSpec::Simulation(SimulationSpec {
+                    trials: 1_000,
+                    seed: 7,
+                    threads,
+                    ..SimulationSpec::default()
+                }),
+            )
+        };
+        let warm = Engine::new();
+        warm.evaluate(&request(1));
+        let served = warm.evaluate(&request(4));
+        assert_eq!(served.cache.hits, 1);
+        let cold = Engine::new().evaluate(&request(4));
+        assert_eq!(served.outcome, cold.outcome);
+    }
+
+    #[test]
     fn errors_propagate_and_are_not_cached() {
         let engine = Engine::new();
         let bad = EvalRequest::new(

@@ -28,7 +28,7 @@ use gbd_store::{ByteReader, ByteWriter};
 /// the codec in this module (or the semantics of any cached value)
 /// changes incompatibly; the store then refuses old files instead of
 /// serving stale bytes under new semantics.
-pub(crate) const STORE_TAG: &[u8] = b"gbd-engine-cache-v2";
+pub(crate) const STORE_TAG: &[u8] = b"gbd-engine-cache-v3";
 
 /// Record kind: geometry layer (`GeometryKey -> Vec<StageInput>`).
 pub(crate) const KIND_GEOMETRY: u8 = 1;

@@ -1,7 +1,8 @@
 //! End-to-end streaming detection sessions against a live server: the
 //! wire protocol round trip, the in-session verb rules, the metrics
-//! accounting, drain/disconnect teardown, one write per report burst, and
-//! reply order behind eval and watch work queued before the session.
+//! accounting (of one session and of concurrent ones), drain/disconnect
+//! teardown, one write per report burst, and reply order behind eval and
+//! watch work queued before the session.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -232,6 +233,83 @@ fn session_round_trip_replays_the_simulator() {
     assert_eq!(u(stream, "reports"), sent);
     assert_eq!(u(stream, "events"), events.len() as u64);
     assert_eq!(u(stream, "tracks_live"), 0, "closed session frees tracks");
+
+    handle.shutdown();
+    thread.join().expect("server thread").expect("server run");
+}
+
+/// Replays `trials` of the scenario on one session and closes it. Each
+/// trial's periods start 20 past the previous trial's, beyond the M = 10
+/// window, so no track chains across trials. Returns the reports and
+/// events the session counted, which its close ack must repeat.
+fn replay_session(addr: &str, trials: std::ops::Range<u64>) -> (u64, u64) {
+    let (_, config) = scenario();
+    let mut conn = Conn::connect(addr);
+    conn.send(OPEN_LINE);
+    assert_eq!(
+        conn.recv().get("streaming").and_then(Json::as_bool),
+        Some(true)
+    );
+    let (mut reports, mut events, mut next_id) = (0u64, 0u64, 100u64);
+    for (i, trial) in trials.enumerate() {
+        let mut outcome = run_trial(&config, trial);
+        for report in &mut outcome.reports {
+            report.period += 20 * i;
+        }
+        for burst in outcome.reports.chunk_by(|a, b| a.period == b.period) {
+            conn.send(&report_line(next_id, burst));
+            let ack = conn.recv();
+            assert_eq!(u(&ack, "id"), next_id, "acks arrive in order");
+            assert_eq!(u(&ack, "ingested"), burst.len() as u64);
+            reports += burst.len() as u64;
+            for _ in 0..u(&ack, "events") {
+                let line = conn.recv();
+                assert!(
+                    line.get("event").is_some(),
+                    "not an event: {}",
+                    line.render()
+                );
+                events += 1;
+            }
+            next_id += 1;
+        }
+    }
+    conn.send(&format!(r#"{{"id":{next_id},"verb":"stream_close"}}"#));
+    let end = conn.recv();
+    assert_eq!(end.get("stream_end").and_then(Json::as_bool), Some(true));
+    assert_eq!((u(&end, "reports"), u(&end, "events")), (reports, events));
+    (reports, events)
+}
+
+#[test]
+fn concurrent_sessions_reconcile_with_the_stream_section() {
+    let (addr, handle, thread) = boot();
+    let sessions: Vec<_> = (0..4u64)
+        .map(|client| {
+            let addr = addr.clone();
+            std::thread::spawn(move || replay_session(&addr, 8 * client..8 * (client + 1)))
+        })
+        .collect();
+    let (mut reports, mut events) = (0, 0);
+    for session in sessions {
+        let (r, e) = session.join().expect("session thread");
+        reports += r;
+        events += e;
+    }
+    assert!(events >= 1, "no detection event fired");
+
+    let mut probe = Conn::connect(&addr);
+    probe.send(r#"{"id":1,"verb":"metrics","sections":["stream"]}"#);
+    let metrics = probe.recv();
+    let stream = metrics
+        .get("metrics")
+        .and_then(|m| m.get("stream"))
+        .expect("stream section");
+    assert_eq!(u(stream, "sessions_opened"), 4);
+    assert_eq!(u(stream, "sessions_closed"), 4);
+    assert_eq!(u(stream, "open_sessions"), 0);
+    assert_eq!(u(stream, "reports"), reports);
+    assert_eq!(u(stream, "events"), events);
 
     handle.shutdown();
     thread.join().expect("server thread").expect("server run");

@@ -75,9 +75,9 @@ pub struct SimConfig {
     /// per process ([`gbd_stats::pool::cores`]). The trials run on the
     /// shared [`gbd_stats::pool`], so a count above the core count is
     /// capped to it, and a campaign started while the pool is busy (inside
-    /// an engine batch, say) runs on its calling thread alone; neither
-    /// changes a result, because `run`'s reduction is chunked by this
-    /// configured count.
+    /// an engine batch, say) runs on its calling thread alone. No result
+    /// depends on this count: every runner aggregates its trials in trial
+    /// order.
     pub threads: usize,
     /// Deterministic fault injection (node failures, dropped reports);
     /// `None` (the default) simulates a fault-free network.

@@ -48,8 +48,7 @@ struct TrialCounts {
 }
 
 /// The thread count `config.threads` asks for (0 = every core, read once
-/// per process). [`run_with`] chunks its reduction by this count, however
-/// many threads the pool lets take part.
+/// per process).
 pub(crate) fn thread_count(config: &SimConfig) -> usize {
     if config.threads == 0 {
         cores()
@@ -66,11 +65,11 @@ pub(crate) fn trial_count(config: &SimConfig) -> usize {
 
 /// Runs `config.trials` independent trials, in parallel, and aggregates.
 ///
-/// Results are a pure function of `config`: trial `i` uses the derived
-/// stream `(seed, i)` regardless of which thread executes it, and the
-/// aggregation below replays the same fixed-chunk reduction for every
-/// scheduling outcome, so the result is byte-stable across runs even
-/// though the *execution* order is work-stealing.
+/// Results are a pure function of `config` without its thread count:
+/// trial `i` uses the derived stream `(seed, i)` regardless of which
+/// thread executes it, and the aggregation pushes every trial into one
+/// summary in trial order, so the result is byte-stable across runs and
+/// thread counts even though the *execution* order is work-stealing.
 pub fn run(config: &SimConfig) -> SimResult {
     // One TrialScratch per participant: the field's position, index, and
     // query buffers are recycled across every trial it claims, so the
@@ -84,18 +83,17 @@ pub fn run(config: &SimConfig) -> SimResult {
 /// [`run`] with a caller-supplied trial function. `make_worker` is called
 /// once per participating thread; the returned closure runs every trial
 /// that thread claims, so it can own per-thread state (arenas, instrumentation,
-/// an alternative engine). The aggregation is the same replayed
-/// fixed-chunk reduction, so two workers that produce byte-identical
+/// an alternative engine). The aggregation is the same trial-order
+/// reduction, so two workers that produce byte-identical
 /// [`TrialOutcome`]s produce byte-identical [`SimResult`]s.
 pub fn run_with<W, F>(config: &SimConfig, make_worker: F) -> SimResult
 where
     F: Fn() -> W + Sync,
     W: FnMut(&SimConfig, u64) -> TrialOutcome,
 {
-    let threads = thread_count(config);
     let trials = config.trials;
     let k = config.params.k();
-    let counts = fan_out(trial_count(config), threads, || {
+    let counts = fan_out(trial_count(config), thread_count(config), || {
         let mut worker = make_worker();
         move |trial| {
             let out = worker(config, trial as u64);
@@ -107,46 +105,18 @@ where
         }
     });
 
-    // Aggregation: replay the original fixed-chunk reduction — one Welford
-    // summary per `div_ceil(trials, threads)`-sized range, pushed in trial
-    // order, partials merged in range order. `threads` is the configured
-    // count, never the number of threads that ran, so the summary bits do
-    // not depend on the pool: the result is identical to the
-    // pre-work-stealing implementation at the same thread count.
-    let chunk = trials.div_ceil(threads as u64).max(1);
-    let mut ordered = counts.iter();
-    let mut partials: Vec<(u64, Summary, Summary, Summary)> = Vec::new();
-    for w in 0..threads as u64 {
-        let lo = w * chunk;
-        let hi = ((w + 1) * chunk).min(trials);
-        if lo >= hi {
-            break;
-        }
-        let mut detections = 0u64;
-        let mut reports = Summary::new();
-        let mut false_alarms = Summary::new();
-        let mut dropped = Summary::new();
-        for _ in lo..hi {
-            let out = ordered.next().expect("the fan-out returns every trial");
-            if out.true_reports >= k {
-                detections += 1;
-            }
-            reports.push(out.true_reports as f64);
-            false_alarms.push(out.false_reports as f64);
-            dropped.push(out.dropped_reports as f64);
-        }
-        partials.push((detections, reports, false_alarms, dropped));
-    }
-
+    // Aggregation in trial order, whatever thread ran each trial.
     let mut detections = 0u64;
     let mut report_counts = Summary::new();
     let mut false_alarm_counts = Summary::new();
     let mut dropped_report_counts = Summary::new();
-    for (d, r, f, x) in &partials {
-        detections += d;
-        report_counts.merge(r);
-        false_alarm_counts.merge(f);
-        dropped_report_counts.merge(x);
+    for out in &counts {
+        if out.true_reports >= k {
+            detections += 1;
+        }
+        report_counts.push(out.true_reports as f64);
+        false_alarm_counts.push(out.false_reports as f64);
+        dropped_report_counts.push(out.dropped_reports as f64);
     }
     let confidence = wilson(detections, trials, 1.96).expect("trials > 0 by construction");
     SimResult {
@@ -175,16 +145,7 @@ mod tests {
     fn result_is_thread_count_invariant() {
         let one = run(&small_config().with_threads(1));
         let four = run(&small_config().with_threads(4));
-        assert_eq!(one.detections, four.detections);
-        assert_eq!(one.report_counts.count(), four.report_counts.count());
-        assert_eq!(one.report_counts.min(), four.report_counts.min());
-        assert_eq!(one.report_counts.max(), four.report_counts.max());
-        // Merged moments differ only by floating point association order.
-        assert!((one.report_counts.mean() - four.report_counts.mean()).abs() < 1e-9);
-        assert!(
-            (one.report_counts.sample_variance() - four.report_counts.sample_variance()).abs()
-                < 1e-6
-        );
+        assert_eq!(one, four);
     }
 
     #[test]

@@ -111,25 +111,6 @@ impl Summary {
             max,
         }
     }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = (self.count + other.count) as f64;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.count as f64 / total;
-        self.m2 += other.m2 + delta * delta * self.count as f64 * other.count as f64 / total;
-        self.mean = new_mean;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl Extend<f64> for Summary {
@@ -225,31 +206,6 @@ mod tests {
         assert_eq!(s.min(), 42.0);
         assert_eq!(s.max(), 42.0);
         assert_eq!(s.sample_variance(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64 * 0.37).sin() * 10.0).collect();
-        let sequential: Summary = data.iter().copied().collect();
-        let mut a: Summary = data[..33].iter().copied().collect();
-        let b: Summary = data[33..].iter().copied().collect();
-        a.merge(&b);
-        assert_eq!(a.count(), sequential.count());
-        assert!((a.mean() - sequential.mean()).abs() < 1e-10);
-        assert!((a.sample_variance() - sequential.sample_variance()).abs() < 1e-10);
-        assert_eq!(a.min(), sequential.min());
-        assert_eq!(a.max(), sequential.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut s: Summary = [1.0, 2.0, 3.0].into_iter().collect();
-        let before = s;
-        s.merge(&Summary::new());
-        assert_eq!(s, before);
-        let mut e = Summary::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 
     #[test]

@@ -126,6 +126,41 @@ fn truncation_error_decays_monotonically_in_caps() {
 }
 
 #[test]
+fn chain_independence_residual_is_about_3e_3_at_the_paper_point() {
+    // With caps this large almost no mass is truncated, so what is left
+    // between the unnormalized chain and the exact model is the chain's
+    // one approximation: per-NEDR counts taken as independent binomials
+    // (THEORY.md §4). Measured: 3.08e-3 at g = gh = 10.
+    let params = SystemParams::paper_defaults();
+    let residual = |caps: usize| {
+        let r = ms_approach::analyze(
+            &params,
+            &MsOptions {
+                g: caps,
+                gh: caps,
+                eps: 0.0,
+            },
+        )
+        .unwrap();
+        (1..=12)
+            .map(|k| {
+                (r.detection_probability_unnormalized(k)
+                    - exact::detection_probability(&params, k))
+                .abs()
+            })
+            .fold(0.0, f64::max)
+    };
+    let at_10 = residual(10);
+    assert!((1e-3..1e-2).contains(&at_10), "residual {at_10:.3e}");
+    // Not truncation: two more caps per stage barely move it.
+    let at_8 = residual(8);
+    assert!(
+        (at_10 - at_8).abs() < 1e-5,
+        "g = 8: {at_8:.4e}, g = 10: {at_10:.4e}"
+    );
+}
+
+#[test]
 fn normalization_always_improves_or_matches_raw_tail() {
     // |normalized − exact| <= |raw − exact| at the paper's operating point,
     // the mechanism behind Figure 9(a) vs 9(b).

@@ -404,10 +404,16 @@ fn truncation_at_every_byte_of_the_final_frame_recovers_the_prefix() {
 
 #[test]
 fn engine_refuses_a_store_written_under_a_different_identity_tag() {
-    // A foreign codec, and the engine's own previous tag: v1 stores hold
+    // A foreign codec, and the engine's own previous tags: v1 stores hold
     // simulation results whose false alarms came from the retired
-    // per-coin sampler, so serving them would break warm ≡ cold.
-    for tag in [&b"some-other-codec-v9"[..], b"gbd-engine-cache-v1"] {
+    // per-coin sampler, and v2 stores hold simulation moments reduced in
+    // chunks of the thread count that computed them, so serving either
+    // would break warm ≡ cold.
+    for tag in [
+        &b"some-other-codec-v9"[..],
+        b"gbd-engine-cache-v1",
+        b"gbd-engine-cache-v2",
+    ] {
         let path = temp_store("foreign.gbdstore");
         {
             let foreign = gbd_store::Store::open(&path, tag).expect("create foreign store");
